@@ -6,6 +6,18 @@ cd "$(dirname "$0")/.."
 dune build @all
 dune runtest
 
+# Help smoke test: every subcommand that takes the shared resilience
+# flags must render its manual (a malformed doc string makes cmdliner
+# fail at --help time, not at build time).
+for sub in explore serve worker; do
+  help_err=$(dune exec bin/s2e_cli.exe -- "$sub" --help=plain 2>&1 >/dev/null) \
+    || { echo "CI: $sub --help exited nonzero: $help_err" >&2; exit 1; }
+  case "$help_err" in
+    *"cmdliner error"*) echo "CI: $sub --help: $help_err" >&2; exit 1 ;;
+  esac
+done
+echo "CI: help smoke test passed (explore, serve, worker)"
+
 # Telemetry smoke test: a short parallel exploration must stream parsable
 # run-stats JSONL (>= 2 periodic snapshots + a final line), and the stats
 # renderer must accept the file.
@@ -137,12 +149,17 @@ diff "$serial_out.cases" "$solver_out.cases" > /dev/null \
   || { echo "CI: incremental --jobs 4 cases differ from serial" >&2; exit 1; }
 grep -q '^incremental: [1-9]' "$solver_out" \
   || { echo "CI: incremental run reported no realized reuse" >&2; exit 1; }
+# urlparse does not drain, so both runs stop on the same instruction
+# budget: under a wall-clock budget the faster mode completes more paths
+# and the case sets differ however correct the solver is.
 url_fresh=$(mktemp /tmp/s2e-urlfresh-XXXXXX.txt)
 trap 'rm -f "$stats_file" "$serial_out" "$dist_out" "$merge_out" "$solver_out" "$url_fresh"' EXIT
 dune exec bin/s2e_cli.exe -- explore --driver nulldrv --workload urlparse \
-  --jobs 1 --seconds 60 --solver fresh --cases > "$url_fresh"
+  --jobs 1 --max-instructions 20000000 --seconds 600 --solver fresh --cases \
+  > "$url_fresh"
 dune exec bin/s2e_cli.exe -- explore --driver nulldrv --workload urlparse \
-  --jobs 1 --seconds 60 --solver incremental --cases > "$solver_out"
+  --jobs 1 --max-instructions 20000000 --seconds 600 --solver incremental \
+  --cases > "$solver_out"
 grep '|' "$url_fresh" > "$url_fresh.cases"
 grep '|' "$solver_out" > "$solver_out.cases"
 diff "$url_fresh.cases" "$solver_out.cases" > /dev/null \

@@ -25,6 +25,14 @@ let seconds_arg =
   let doc = "Wall-clock exploration budget in seconds." in
   Arg.(value & opt float 20.0 & info [ "seconds" ] ~docv:"S" ~doc)
 
+let max_instructions_arg =
+  let doc =
+    "Deterministic exploration budget: stop once more than $(docv) guest \
+     instructions have run, so runs on machines of any speed complete the \
+     same paths.  $(b,--seconds) still applies as a safety net."
+  in
+  Arg.(value & opt (some int) None & info [ "max-instructions" ] ~docv:"N" ~doc)
+
 let check_driver name =
   if not (List.mem_assoc name Guest.drivers) then begin
     Fmt.epr "unknown driver %S (have: %s)@." name
@@ -182,7 +190,7 @@ let workload_src = function
    with one consistent error shape: `s2e <cmd>: <problem>` to stderr,
    exit code 2. *)
 let validate_explore_args ~cmd ~driver ~workload ~model ~searcher ~merge ~jobs
-    ~procs ~seconds ~stats_interval =
+    ~procs ~seconds ~max_instructions ~stats_interval =
   let fail msg =
     Fmt.epr "s2e %s: %s@." cmd msg;
     exit 2
@@ -208,6 +216,10 @@ let validate_explore_args ~cmd ~driver ~workload ~model ~searcher ~merge ~jobs
   if procs < 1 then fail (Printf.sprintf "--procs must be >= 1 (got %d)" procs);
   if seconds <= 0. then
     fail (Printf.sprintf "--seconds must be > 0 (got %g)" seconds);
+  (match max_instructions with
+  | Some n when n <= 0 ->
+      fail (Printf.sprintf "--max-instructions must be > 0 (got %d)" n)
+  | _ -> ());
   if stats_interval <= 0. then
     fail
       (Printf.sprintf "--stats-interval must be > 0 (got %g)" stats_interval)
@@ -292,7 +304,7 @@ let fault_plan_arg =
   let doc =
     "Deterministic fault-injection plan: comma-separated \
      $(i,site)=$(i,kind):$(i,prob)[#$(i,cap)] rules, e.g. \
-     'dev.read=err:0.05,dma=drop:0.01,solver=unknown:0.02,\\
+     'dev.read=err:0.05,dma=drop:0.01,solver=unknown:0.02,\
      proto=corrupt:0.03'.  Sites: dev.read, dma, irq, solver (kinds \
      unknown/latency), proto (kinds corrupt/delay/disconnect/stall).  \
      Empty disables injection."
@@ -557,11 +569,11 @@ let explore_cmd =
     in
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
-  let run driver workload model jobs procs seconds searcher merge cases
-      stats_out stats_interval trace_out fault_plan fault_seed
+  let run driver workload model jobs procs seconds max_instructions searcher
+      merge cases stats_out stats_interval trace_out fault_plan fault_seed
       solver_timeout_ms solver_mode =
     validate_explore_args ~cmd:"explore" ~driver ~workload ~model ~searcher
-      ~merge ~jobs ~procs ~seconds ~stats_interval;
+      ~merge ~jobs ~procs ~seconds ~max_instructions ~stats_interval;
     setup_resilience ~cmd:"explore" ~solver_mode ~fault_plan ~fault_seed
       ~solver_timeout_ms ();
     if trace_out <> None then begin
@@ -580,7 +592,7 @@ let explore_cmd =
     in
     let limits =
       {
-        Executor.max_instructions = None;
+        Executor.max_instructions;
         max_seconds = Some seconds;
         max_completed = None;
       }
@@ -694,7 +706,8 @@ let explore_cmd =
           workers (--jobs) and worker processes (--procs)")
     Term.(
       const run $ driver_arg $ explore_workload_arg $ model_arg $ jobs_arg
-      $ procs_arg $ seconds_arg $ searcher_arg $ merge_arg $ cases_arg
+      $ procs_arg $ seconds_arg $ max_instructions_arg $ searcher_arg
+      $ merge_arg $ cases_arg
       $ stats_out_arg $ stats_interval_arg $ trace_out_arg $ fault_plan_arg
       $ fault_seed_arg $ solver_timeout_arg $ solver_mode_arg)
 
@@ -743,7 +756,7 @@ let serve_cmd =
       listen max_workers lease fault_plan fault_seed solver_timeout_ms
       solver_mode =
     validate_explore_args ~cmd:"serve" ~driver ~workload ~model ~searcher
-      ~merge ~jobs ~procs:1 ~seconds ~stats_interval:1.;
+      ~merge ~jobs ~procs:1 ~seconds ~max_instructions:None ~stats_interval:1.;
     setup_resilience ~cmd:"serve" ~solver_mode ~fault_plan ~fault_seed
       ~solver_timeout_ms ();
     if procs < 0 then begin
@@ -833,7 +846,8 @@ let worker_cmd =
   let run driver workload model jobs searcher merge slice trace connect
       fault_plan fault_seed solver_timeout_ms solver_mode =
     validate_explore_args ~cmd:"worker" ~driver ~workload ~model ~searcher
-      ~merge ~jobs ~procs:1 ~seconds:1. ~stats_interval:1.;
+      ~merge ~jobs ~procs:1 ~seconds:1. ~max_instructions:None
+      ~stats_interval:1.;
     setup_resilience ~cmd:"worker" ~solver_mode ~fault_plan ~fault_seed
       ~solver_timeout_ms ();
     if trace then Obs.Trace.set_enabled true;

@@ -34,6 +34,7 @@ let m_degradations = Obs.Metrics.counter "engine.degradations"
 let m_incomplete = Obs.Metrics.counter "engine.incomplete_paths"
 let m_live = Obs.Metrics.gauge ~merge:Obs.Metrics.Sum "engine.live_states"
 let m_max_live = Obs.Metrics.gauge ~merge:Obs.Metrics.Max "engine.max_live_states"
+let m_footprint_samples = Obs.Metrics.counter "engine.footprint_samples"
 
 let m_max_constraints =
   Obs.Metrics.gauge ~merge:Obs.Metrics.Max "engine.max_constraint_set"
@@ -923,14 +924,19 @@ let run_loop ~(limits : run_limits) t =
     | Some m -> t.stats.states_completed >= m
     | None -> false
   in
+  (* Footprint high watermark: new live states appear only at forks, so
+     fold the live footprints once per fork-count change (and once for
+     the starting frontier), never per block. *)
+  let sampled_forks = ref (-1) in
   let rec loop () =
     if not (over_budget ()) then
       match t.searcher.select () with
       | None -> ()
       | Some s ->
           (try exec_tb t s with Path_end -> ());
-          (* Track footprint high watermark occasionally. *)
-          if t.stats.forks land 15 = 0 then begin
+          if t.stats.forks <> !sampled_forks then begin
+            sampled_forks := t.stats.forks;
+            Obs.Metrics.incr m_footprint_samples;
             let fp = List.fold_left (fun acc s -> acc + State.footprint s) 0 t.live in
             if fp > t.stats.footprint_watermark then
               t.stats.footprint_watermark <- fp

@@ -91,13 +91,6 @@ let memo_store tbl key v =
   if Hashtbl.length tbl >= memo_cap then Hashtbl.reset tbl;
   Hashtbl.replace tbl key v
 
-(* Memoizing a node smaller than this costs more in table traffic than
-   the recomputation it saves; the cached [Expr.size] makes the gate
-   O(1).  Translated guest code produces both shapes: tiny flag tests
-   (skip the memo) and deep address-arithmetic chains (where the memo
-   kills [replace_known]'s quadratic behaviour). *)
-let memo_min_size = 16
-
 (* Bottom-up known-bits computation.  [replace_known] queries it at every
    level of its descent, so without the memo the overall pass is
    quadratic in expression depth. *)
@@ -105,7 +98,7 @@ let rec known_bits e : bits =
   match e with
   | Const _ | Var _ | Cmp _ -> known_bits_raw e
   | _ ->
-      if size e >= memo_min_size && Domain.DLS.get memo_enabled then begin
+      if Domain.DLS.get memo_enabled then begin
         let tbl = Domain.DLS.get kb_memo in
         match Hashtbl.find_opt tbl (node_id e) with
         | Some b -> b
@@ -310,14 +303,14 @@ let simplify_raw e =
   let e = demand e (mask (width e)) in
   replace_known e
 
-(* Memoized by node id: re-simplifying a query's shared constraint prefix
-   (the common case — the solver simplifies the full constraint list per
-   query) becomes a table hit per constraint.  Tiny constraints skip the
-   table: re-simplifying them outright is cheaper than the traffic. *)
+(* Memoized by node id at every size: re-simplifying a query's shared
+   constraint prefix (the common case — the solver simplifies the full
+   constraint list per query) becomes a table hit per constraint.  Path
+   constraints are mostly small flag tests, so a size gate here would
+   re-run both passes on nearly every constraint of every query. *)
 let simplify e =
   match e with
   | Const _ | Var _ -> e
-  | _ when size e < memo_min_size -> simplify_raw e
   | _ -> (
       let tbl = Domain.DLS.get simplify_memo in
       match Hashtbl.find_opt tbl (node_id e) with

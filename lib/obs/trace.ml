@@ -307,12 +307,16 @@ let cache_name = function 0 -> "miss" | 1 -> "model" | _ -> "unsat"
    matched the whole prefix. *)
 let inc_name = function 0 -> "fresh" | 1 -> "partial" | _ -> "hit"
 
-let json_of_event e =
+(* Timestamps export as integer microseconds since [t0], the earliest
+   event: absolute epoch microseconds (~1.8e15) exceed the JSON writer's
+   exact-integer range and print with nine significant digits, which
+   flattens a whole run onto one [ts]. *)
+let json_of_event ~t0 e =
   let open Jsonl in
-  let us t = t *. 1e6 in
+  let us t = Float.round (t *. 1e6) in
   let base name ph args =
     let common =
-      [ ("name", Str name); ("ph", Str ph); ("ts", Num (us e.ev_ts));
+      [ ("name", Str name); ("ph", Str ph); ("ts", Num (us (e.ev_ts -. t0)));
         ("pid", Num (float_of_int e.ev_pid));
         ("tid", Num (float_of_int e.ev_dom)) ]
     in
@@ -349,9 +353,10 @@ let json_of_event e =
 
 let to_json ?(dropped = 0) events =
   let open Jsonl in
+  let t0 = List.fold_left (fun acc e -> Float.min acc e.ev_ts) infinity events in
   Obj
     [
-      ("traceEvents", Arr (List.map json_of_event events));
+      ("traceEvents", Arr (List.map (json_of_event ~t0) events));
       ("displayTimeUnit", Str "ms");
       ( "s2e",
         Obj

@@ -113,7 +113,8 @@ val decode_chunk : ?pid:int -> ?offset:float -> string -> event list * int
 
 val to_json : ?dropped:int -> event list -> Jsonl.t
 (** Chrome/Perfetto [trace_event] JSON: an object with a [traceEvents]
-    array (timestamps in microseconds; [ph]="X" for spans and queries,
+    array ([ts] and [dur] in integer microseconds, [ts] counted from the
+    earliest event; [ph]="X" for spans and queries,
     [ph]="i" for instants and path lifecycle) plus an [s2e] metadata
     object.  Constraint-prefix hashes are exported as hex strings —
     they do not fit a JSON double. *)

@@ -62,6 +62,7 @@ let m_unknowns = Obs.Metrics.counter "solver.unknowns"
 let m_timeouts = Obs.Metrics.counter "solver.timeouts"
 let m_inc_hits = Obs.Metrics.counter "solver.inc_hits"
 let m_inc_partials = Obs.Metrics.counter "solver.inc_partials"
+let m_contradictions = Obs.Metrics.counter "solver.contradictions"
 
 let m_query_hist =
   Obs.Metrics.histogram
@@ -311,6 +312,16 @@ let remember_unsat ctx constraints =
   if List.length entries < 8 then
     Hashtbl.replace ctx.unsat_cache key (constraints :: entries)
 
+(* Syntactic contradiction: the query condition's negation is itself one
+   of the inherited constraints — a loop re-testing a condition its path
+   already decided.  Interning makes the lookup a pointer walk, so these
+   queries cost no model evaluation and no SAT call. *)
+let contradicts = function
+  | c :: tl ->
+      let neg = Expr.log_not c in
+      List.exists (Expr.equal neg) tl
+  | [] -> false
+
 (* ------------------------------------------------------------------ *)
 (* Independent-constraint slicing                                      *)
 (* ------------------------------------------------------------------ *)
@@ -319,30 +330,23 @@ let remember_unsat ctx constraints =
    Constraints mentioning no seed variable cannot affect satisfiability of
    the query (they are satisfiable on their own by path construction).
    [Expr.vars] reads the variable set cached in each interned node, so a
-   slice costs set operations only — no tree walks. *)
+   slice costs set operations only — no tree walks.
+
+   The result is a subsequence of [constraints], in their order: path
+   order (newest first) in, path order out, so the incremental strategy's
+   reversed tail is an oldest-first assumption stack and consecutive
+   queries along a path share its bottom frames. *)
 let slice ~seed_vars constraints =
-  let remaining = ref (List.map (fun c -> (c, Expr.vars c)) constraints) in
-  let relevant = ref [] in
-  let frontier = ref seed_vars in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let keep, rest =
-      List.partition
-        (fun (_, vs) -> not (Expr.Int_set.disjoint vs !frontier))
-        !remaining
-    in
-    if keep <> [] then begin
-      changed := true;
-      List.iter
-        (fun (c, vs) ->
-          relevant := c :: !relevant;
-          frontier := Expr.Int_set.union !frontier vs)
-        keep;
-      remaining := rest
-    end
-  done;
-  !relevant
+  let touches frontier c = not (Expr.Int_set.disjoint (Expr.vars c) frontier) in
+  let rec close frontier pending =
+    match List.partition (touches frontier) pending with
+    | [], _ -> frontier
+    | keep, rest ->
+        close
+          (List.fold_left (fun acc c -> Expr.Int_set.union acc (Expr.vars c)) frontier keep)
+          rest
+  in
+  List.filter (touches (close seed_vars constraints)) constraints
 
 (* ------------------------------------------------------------------ *)
 (* Core check                                                          *)
@@ -697,6 +701,14 @@ let check_ctx ~use_model_cache ctx constraints =
             st.unknowns <- st.unknowns + 1;
             Obs.Metrics.incr m_unknowns;
             Unknown
+          end
+          else if contradicts constraints then begin
+            st.cache_hits <- st.cache_hits + 1;
+            Obs.Metrics.incr m_cache_hits;
+            Obs.Metrics.incr m_contradictions;
+            q_cache := 2;
+            q_result := 1;
+            Unsat
           end
           else
           let cached_model =

@@ -1,10 +1,11 @@
 (** High-level constraint solver used by the symbolic execution engine.
 
     Sits above {!Bitblast}/{!Sat} and adds the optimizations KLEE/STP give
-    the paper's prototype: independent-constraint slicing, a model cache
-    (recent satisfying assignments re-tried by evaluation before any SAT
-    call), an unsatisfiable-set cache, and statistics for the Fig. 9
-    benchmarks.
+    the paper's prototype: independent-constraint slicing, a syntactic
+    contradiction check (the query condition's negation already among
+    the constraints), a model cache (recent satisfying assignments
+    re-tried by evaluation before any SAT call), an unsatisfiable-set
+    cache, and statistics for the Fig. 9 benchmarks.
 
     All mutable solver state lives in an explicit {!ctx}; every query
     function takes an optional [?ctx] defaulting to {!default_ctx}, so
@@ -150,7 +151,9 @@ val max_conflicts : int ref
 
 val slice : seed_vars:Expr.Int_set.t -> Expr.t list -> Expr.t list
 (** Keep only constraints transitively sharing variables with
-    [seed_vars]. *)
+    [seed_vars].  The result is a subsequence of the input, in input
+    order, so a path's newest-first constraint list slices to a
+    newest-first list. *)
 
 val check : ?ctx:ctx -> Expr.t list -> result
 (** Is the conjunction satisfiable?  Returns a model on success. *)

@@ -346,6 +346,27 @@ let test_simplify_memo_differential () =
       done)
     widths
 
+(* The memo has no size gate: small nodes (the bulk of path constraints)
+   are memoized like large ones and must still equal the memo-free
+   reference exactly, first call and memo hit alike. *)
+let test_simplify_memo_small () =
+  let rng = Random.State.make [| 0x5AA11; 16 |] in
+  let checked = ref 0 in
+  for _ = 1 to 2000 do
+    let e = gen rng (choose rng widths) (1 + Random.State.int rng 3) in
+    if Expr.size e < 16 then begin
+      incr checked;
+      let uncached = Simplifier.simplify_uncached e in
+      Alcotest.(check bool)
+        "small-node simplify = reference" true
+        (Expr.equal (Simplifier.simplify e) uncached);
+      Alcotest.(check bool)
+        "small-node memo hit = reference" true
+        (Expr.equal (Simplifier.simplify e) uncached)
+    end
+  done;
+  Alcotest.(check bool) "enough small trees generated" true (!checked > 500)
+
 let tests =
   [
     Alcotest.test_case "simplifier differential (random trees x models)"
@@ -363,4 +384,6 @@ let tests =
       test_hash_consistent_with_equal;
     Alcotest.test_case "simplifier memo differential" `Quick
       test_simplify_memo_differential;
+    Alcotest.test_case "simplifier memo on nodes below 16" `Quick
+      test_simplify_memo_small;
   ]

@@ -2,6 +2,7 @@
 
 open S2e_expr
 open S2e_solver
+module Obs = S2e_obs
 
 let test_sat_basic () =
   let s = Sat.create () in
@@ -116,6 +117,115 @@ let test_slicing () =
   let cy = Expr.ult y (Expr.const 50L) in
   let sliced = Solver.slice ~seed_vars:(Expr.vars x) [ cx; cy ] in
   Alcotest.(check int) "only x constraint kept" 1 (List.length sliced)
+
+(* The fixpoint slice the order-preserving one replaced: same closure,
+   members emitted in discovery order.  Kept as the reference for the
+   member-set half of the property below. *)
+let ref_slice ~seed_vars constraints =
+  let remaining = ref constraints and relevant = ref [] in
+  let frontier = ref seed_vars and changed = ref true in
+  while !changed do
+    let keep, rest =
+      List.partition
+        (fun c -> not (Expr.Int_set.disjoint (Expr.vars c) !frontier))
+        !remaining
+    in
+    changed := keep <> [];
+    List.iter
+      (fun c ->
+        relevant := c :: !relevant;
+        frontier := Expr.Int_set.union !frontier (Expr.vars c))
+      keep;
+    remaining := rest
+  done;
+  !relevant
+
+let rec is_subsequence sub l =
+  match (sub, l) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: sub', y :: l' ->
+      if x == y then is_subsequence sub' l' else is_subsequence sub l'
+
+(* Random 8-bit constraint over 0-2 variables of a small pool (a constant
+   comparison folds to a variable-free constraint, which no slice keeps). *)
+let slice_pool = Array.init 6 (fun i -> Expr.fresh_var ~width:8 (Printf.sprintf "sl%d" i))
+
+let gen_slice_constraint =
+  QCheck2.Gen.(
+    map
+      (fun (a, b, k, shape) ->
+        let k = Expr.const ~width:8 (Int64.of_int k) in
+        match shape with
+        | 0 -> Expr.ult slice_pool.(a) k
+        | 1 -> Expr.eq (Expr.add slice_pool.(a) slice_pool.(b)) k
+        | 2 -> Expr.ne slice_pool.(a) slice_pool.(b)
+        | _ -> Expr.ule k k)
+      (quad (int_bound 5) (int_bound 5) (int_bound 255) (int_bound 3)))
+
+(* Property: [slice] keeps the path order of its input (a subsequence, so
+   the incremental strategy's oldest-first assumption stacks share their
+   bottom frames) and selects exactly the members of the old fixpoint. *)
+let prop_slice_order_preserving =
+  QCheck2.Test.make ~count:300 ~name:"slice: order-preserving, same members"
+    QCheck2.Gen.(pair (int_bound 5) (list_size (int_bound 24) gen_slice_constraint))
+    (fun (seed, cs) ->
+      let seed_vars = Expr.vars slice_pool.(seed) in
+      let sliced = Solver.slice ~seed_vars cs in
+      let ids l = List.sort compare (List.map Expr.node_id l) in
+      is_subsequence sliced cs && ids sliced = ids (ref_slice ~seed_vars cs))
+
+(* A cold solve with no front end at all: one throwaway SAT instance over
+   the raw constraint list — no simplification, caches or contradiction
+   check. *)
+let cold_verdict cs =
+  let sat = Sat.create () in
+  let bctx = Bitblast.create sat in
+  List.iter (Bitblast.assert_true bctx) cs;
+  Sat.solve sat
+
+(* Property: the syntactic-contradiction answer never says Unsat where a
+   cold solve finds Sat.  Random sets over 8-bit variables; about half
+   carry the head's negation somewhere in the tail, so the shortcut fires
+   (checked: the test must not pass vacuously). *)
+let test_contradiction_sound () =
+  let rng = Random.State.make [| 0xC0DE; 13 |] in
+  let xs = Array.init 3 (fun i -> Expr.fresh_var ~width:8 (Printf.sprintf "ct%d" i)) in
+  let atom () =
+    let x = xs.(Random.State.int rng 3) and y = xs.(Random.State.int rng 3) in
+    let k = Expr.const ~width:8 (Int64.of_int (Random.State.int rng 256)) in
+    match Random.State.int rng 5 with
+    | 0 -> Expr.ult x k
+    | 1 -> Expr.ult x (Expr.band y (Expr.const ~width:8 0x3fL))
+    | 2 -> Expr.eq (Expr.add x y) k
+    | 3 -> Expr.ne x k
+    | _ -> Expr.ule k (Expr.bxor x y)
+  in
+  let fired_total = ref 0 in
+  let ctx = Solver.create_ctx ~mode:Solver.Incremental () in
+  for _ = 1 to 300 do
+    let head = atom () in
+    let tail = List.init (Random.State.int rng 5) (fun _ -> atom ()) in
+    let tail =
+      if Random.State.bool rng then
+        let i = Random.State.int rng (List.length tail + 1) in
+        List.filteri (fun j _ -> j < i) tail
+        @ (Expr.log_not head :: List.filteri (fun j _ -> j >= i) tail)
+      else tail
+    in
+    let cs = head :: tail in
+    let before = Obs.Metrics.get_int (Obs.Metrics.snapshot ()) "solver.contradictions" in
+    let r = Solver.check ~ctx cs in
+    let fired =
+      Obs.Metrics.get_int (Obs.Metrics.snapshot ()) "solver.contradictions" > before
+    in
+    if fired then begin
+      incr fired_total;
+      Alcotest.(check bool) "contradiction answers unsat" true (r = Solver.Unsat);
+      Alcotest.(check bool) "cold solve agrees" true (cold_verdict cs <> Sat.Sat)
+    end
+  done;
+  Alcotest.(check bool) "contradiction path exercised" true (!fired_total > 50)
 
 (* Property: every model returned by the solver satisfies the constraints. *)
 let prop_models_satisfy =
@@ -424,4 +534,7 @@ let tests =
       test_mode_differential;
     QCheck_alcotest.to_alcotest prop_models_satisfy;
     QCheck_alcotest.to_alcotest prop_solver_vs_brute;
+    QCheck_alcotest.to_alcotest prop_slice_order_preserving;
+    Alcotest.test_case "contradiction shortcut is sound" `Quick
+      test_contradiction_sound;
   ]

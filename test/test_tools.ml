@@ -139,6 +139,69 @@ let test_models_mua () =
     true
     (lc.coverage > sc_se.coverage)
 
+(* --- per-branch fixed costs stay cut (deterministic counts only) --- *)
+
+(* Narrowed DDT+ on pcnet to a fixed instruction budget, never seconds
+   (the wall-clock limit is only a safety net).  Asserts on the counts
+   the per-branch fixes leave behind: path-ordered slices make the SAT
+   core's assumption stacks share prefixes, the driver's loop re-tests
+   are answered by the syntactic contradiction check, and the footprint
+   watermark is folded once per fork-count change, not per block. *)
+let test_ddt_pcnet_fixed_costs () =
+  let module Solver = S2e_solver.Solver in
+  let module M = S2e_obs.Metrics in
+  Solver.clear_caches Solver.default_ctx;
+  let before = M.snapshot () in
+  let r =
+    Ddt.run ~max_seconds:120.0 ~max_instructions:300_000 ~driver:"pcnet"
+      ~consistency:Consistency.LC ()
+  in
+  let after = M.snapshot () in
+  let delta name = M.get_int after name - M.get_int before name in
+  Alcotest.(check bool) "instruction budget reached" true
+    (r.Ddt.instructions > 300_000);
+  let sat = delta "solver.sat_queries" in
+  let reused = delta "solver.inc_hits" + delta "solver.inc_partials" in
+  Alcotest.(check bool)
+    (Printf.sprintf "SAT-core reuse %d/%d >= 0.5" reused sat)
+    true
+    (sat > 0 && 2 * reused >= sat);
+  Alcotest.(check bool) "contradiction answers > 0" true
+    (delta "solver.contradictions" > 0);
+  let forks = delta "engine.forks" in
+  let samples = delta "engine.footprint_samples" in
+  Alcotest.(check bool)
+    (Printf.sprintf "footprint folds %d <= forks %d + 1" samples forks)
+    true
+    (forks > 0 && samples <= forks + 1)
+
+(* --- CLI manuals render --- *)
+
+(* Every subcommand's manual must render: cmdliner parses doc strings
+   only at --help time, so a malformed escape passes the build and fails
+   the user. *)
+let test_cli_help_renders () =
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/s2e_cli.exe"
+  in
+  let err = Filename.temp_file "s2e_help" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      List.iter
+        (fun sub ->
+          let rc =
+            Sys.command
+              (Printf.sprintf "%s %s --help=plain > /dev/null 2> %s"
+                 (Filename.quote cli) sub (Filename.quote err))
+          in
+          Alcotest.(check int) (sub ^ " --help exits 0") 0 rc;
+          Alcotest.(check string)
+            (sub ^ " --help: nothing on stderr (no cmdliner error)") ""
+            (In_channel.with_open_bin err In_channel.input_all))
+        [ "run"; "ddt"; "rev"; "profs"; "models"; "explore"; "serve";
+          "worker"; "stats"; "trace"; "oracle" ])
+
 let tests =
   [
     Alcotest.test_case "DDT+ finds 2 bugs under SC-SE" `Slow test_ddt_scse;
@@ -156,4 +219,8 @@ let tests =
     Alcotest.test_case "models: driver coverage ordering" `Slow
       test_models_driver_coverage_ordering;
     Alcotest.test_case "models: mua LC beats SC-SE" `Slow test_models_mua;
+    Alcotest.test_case "DDT+ pcnet: per-branch fixed costs stay cut" `Quick
+      test_ddt_pcnet_fixed_costs;
+    Alcotest.test_case "CLI: every subcommand's --help renders" `Quick
+      test_cli_help_renders;
   ]

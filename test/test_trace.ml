@@ -316,6 +316,43 @@ let test_json_valid () =
           in
           Alcotest.(check bool) "query prefix is a hex string" true some_query)
 
+(* Exported timestamps are integer microseconds rebased to the first
+   event: absolute epoch microseconds printed with nine significant
+   digits used to flatten a whole run onto one [ts]. *)
+let test_json_timestamps () =
+  with_trace (fun () ->
+      let _, events = traced_explore 1 in
+      let s = Obs.Jsonl.to_string (Trace.to_json ~dropped:0 events) in
+      let evs =
+        match Obs.Jsonl.parse s with
+        | Error msg -> Alcotest.failf "export does not parse: %s" msg
+        | Ok j ->
+            Option.value ~default:[]
+              (Option.bind (Obs.Jsonl.member "traceEvents" j) Obs.Jsonl.to_arr)
+      in
+      let num m ev =
+        match Obs.Jsonl.num_member m ev with
+        | Some v -> v
+        | None -> Alcotest.failf "event without %s" m
+      in
+      let ts = List.map (num "ts") evs in
+      Alcotest.(check bool) "ts are integers" true (List.for_all Float.is_integer ts);
+      Alcotest.(check (float 0.)) "first event at 0" 0.
+        (List.fold_left Float.min infinity ts);
+      Alcotest.(check bool) "ts not constant" true
+        (List.exists (fun t -> t <> List.hd ts) ts);
+      let last = Hashtbl.create 8 in
+      List.iter
+        (fun ev ->
+          let tid = num "tid" ev and t = num "ts" ev in
+          (match Hashtbl.find_opt last tid with
+          | Some prev when t < prev ->
+              Alcotest.failf "ts went backwards on tid %.0f: %.0f after %.0f"
+                tid t prev
+          | _ -> ());
+          Hashtbl.replace last tid t)
+        evs)
+
 (* --- reporter: final snapshot must flush on exceptions too --- *)
 
 let test_reporter_flushes_on_exception () =
@@ -367,6 +404,8 @@ let tests =
       test_chunk_rejects_garbage;
     Alcotest.test_case "trace_event export is valid JSON" `Quick
       test_json_valid;
+    Alcotest.test_case "trace_event ts: integer, rebased, monotone per tid"
+      `Quick test_json_timestamps;
     Alcotest.test_case "reporter flushes final line on exception" `Quick
       test_reporter_flushes_on_exception;
   ]
