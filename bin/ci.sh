@@ -116,6 +116,8 @@ diff "$serial_out.cases" "$traced_out.cases" > /dev/null \
 rm -f "$serial_out.cases" "$traced_out.cases"
 trace_report=$(dune exec bin/s2e_cli.exe -- trace "$trace_json") \
   || { echo "CI: trace renderer rejected the JSON" >&2; exit 1; }
+printf '%s\n' "$trace_report" | grep -q '^SAT-core reuse: ' \
+  || { echo "CI: trace report missing realized SAT-core reuse" >&2; exit 1; }
 printf '%s\n' "$trace_report" | grep -q 'constraint prefixes:' \
   || { echo "CI: trace report missing prefix attribution" >&2; exit 1; }
 printf '%s\n' "$trace_report" | grep -q 'fork tree' \
@@ -352,3 +354,18 @@ captured=$(sed -n 's/^captured \([0-9][0-9]*\) block(s).*/\1/p' "$oracle_dir/cap
 [ -n "$captured" ] && [ "$captured" -gt 0 ] \
   || { echo "CI: oracle captured no blocks" >&2; exit 1; }
 echo "CI: oracle smoke test passed (500 generated + corpus + $captured captured blocks)"
+
+# Paper-workload correctness gate: a short perfbench run of each serial
+# workload must match perfbench/expected.json on every iteration (case
+# digest, PROFS profile digest, per-path misses) with no failed
+# iteration.  No timing floors.  run.py rebuilds _build in the release
+# profile, so this runs last.
+for w in ddt_pcnet profs_urlparse; do
+  last=$(timeout 300 python3 perfbench/run.py --workload "$w" --seed 1 \
+    --seconds 5 --trace 0 | tail -n 1)
+  printf '%s\n' "$last" | grep -q '"correct": true' \
+    || { echo "CI: perfbench $w outputs differ from expected.json" >&2; exit 1; }
+  printf '%s\n' "$last" | grep -q '"failed": 0,' \
+    || { echo "CI: perfbench $w had failed iterations" >&2; exit 1; }
+done
+echo "CI: perfbench correctness gate passed (ddt_pcnet, profs_urlparse)"

@@ -1205,6 +1205,9 @@ let trace_cmd =
     let groups = Hashtbl.create 256 in
     (* prefix -> (count, seconds, cache hits, incremental reuses) *)
     let total_q = ref 0 and total_qs = ref 0. and total_inc = ref 0 in
+    (* SAT-core queries (query-cache misses) and those answered on a live
+       incremental instance. *)
+    let sat_q = ref 0 and sat_inc = ref 0 in
     List.iter
       (fun ev ->
         let name = Option.value ~default:"" (Obs.Jsonl.str_member "name" ev) in
@@ -1236,6 +1239,10 @@ let trace_cmd =
             incr total_q;
             total_qs := !total_qs +. dur;
             if inc then incr total_inc;
+            if not cached then begin
+              incr sat_q;
+              if inc then incr sat_inc
+            end;
             let c, s, h, ic =
               Option.value ~default:(0, 0., 0, 0)
                 (Hashtbl.find_opt groups prefix)
@@ -1264,6 +1271,12 @@ let trace_cmd =
         (fun acc (_, c, s, _, _) -> if c > 1 then acc +. s else acc)
         0. glist
     in
+    (* Lead with realized reuse; the prefix table below is opportunity. *)
+    Fmt.pr
+      "SAT-core reuse: %d of %d SAT-core queries answered on a live \
+       instance (%.1f%%)@."
+      !sat_inc !sat_q
+      (if !sat_q > 0 then 100. *. float !sat_inc /. float !sat_q else 0.);
     Fmt.pr
       "constraint prefixes: %d distinct; %.1f%% of solver time in reused \
        prefixes; %d queries reused a live SAT instance@."

@@ -248,22 +248,15 @@ let run_session ~sl ~heartbeat ~lease ~unwrap ~wrap c =
          { pid; frontier; now = Unix.gettimeofday (); trace = trace_chunk () });
     last_hb := Unix.gettimeofday ()
   in
-  (* Every due heartbeat is a fault-injection point for the three
-     liveness chaos kinds.  [proto.stall] freezes the whole process past
-     the lease (the coordinator presumes death and requeues; our next
-     send then finds the connection torn down or a requeued item —
-     either way the recovery path runs for real).  [proto.disconnect]
-     severs the socket abruptly, no goodbye: a TCP worker reconnects
-     and rejoins, a socketpair worker dies and is respawned. *)
+  (* Every due heartbeat is a fault-injection point for two liveness
+     chaos kinds.  [proto.stall] freezes the whole process past the
+     lease (the coordinator presumes death and requeues; our next send
+     then finds the connection torn down or a requeued item — either
+     way the recovery path runs for real). *)
   let hb_probe frontier =
     if Fault.(fire Proto_stall) then begin
       Unix.sleepf stall_seconds;
       hb frontier
-    end
-    else if Fault.(fire Proto_disconnect) then begin
-      (try Unix.shutdown c.Proto.fd Unix.SHUTDOWN_ALL
-       with Unix.Unix_error _ -> ());
-      raise Proto.Closed
     end
     else if Fault.(fire Proto_delay) then
       (* Fault plan: swallow this heartbeat and pretend it was sent —
@@ -286,6 +279,14 @@ let run_session ~sl ~heartbeat ~lease ~unwrap ~wrap c =
      other's encodings and learned clauses.  Safe to share across items —
      case verdicts and bytes are context-history-independent. *)
   let cases_ctx = Solver.create_ctx () in
+  (* [proto.disconnect] is drawn once per completed path, so how often it
+     fires follows the work done, not heartbeat timing.  A firing makes
+     the worker checkpoint its item at the next slice boundary and then
+     sever the socket abruptly, no goodbye: a TCP worker reconnects and
+     rejoins, a socketpair worker dies and is respawned.  Checkpointing
+     first keeps explored paths: losing the whole item at a per-path
+     rate would requeue long items faster than they could finish. *)
+  let sever_pending = ref false in
   let run_item ~item ~budget ~cases blob =
     let deadline =
       if budget <= 0. then infinity else Unix.gettimeofday () +. budget
@@ -305,6 +306,7 @@ let run_session ~sl ~heartbeat ~lease ~unwrap ~wrap c =
               List.iter
                 (fun p ->
                   paths := p :: !paths;
+                  if Fault.(fire Proto_disconnect) then sever_pending := true;
                   maybe_hb frontier)
                 (paths_of_state ~ctx:cases_ctx ~cases s))
             pending
@@ -351,8 +353,9 @@ let run_session ~sl ~heartbeat ~lease ~unwrap ~wrap c =
             (Proto.Result { item; paths = List.rev !paths; stats; solver });
           finished := true
         end
-        else if Unix.gettimeofday () >= deadline then begin
-          (* Out of budget: return the unexplored remainder. *)
+        else if Unix.gettimeofday () >= deadline || !sever_pending then begin
+          (* Out of budget, or about to drop the connection: return the
+             unexplored remainder. *)
           checkpoint ();
           finished := true
         end
@@ -362,7 +365,12 @@ let run_session ~sl ~heartbeat ~lease ~unwrap ~wrap c =
           maybe_hb (List.length (sl.sl_frontier ()))
         end
       end
-    done
+    done;
+    if !sever_pending then begin
+      (try Unix.shutdown c.Proto.fd Unix.SHUTDOWN_ALL
+       with Unix.Unix_error _ -> ());
+      raise Proto.Closed
+    end
   in
   try
     let rec idle () =

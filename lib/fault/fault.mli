@@ -30,8 +30,9 @@ type site =
   | Proto_delay  (** a worker heartbeat is suppressed for one period *)
   | Proto_disconnect
       (** the worker's coordinator connection is severed abruptly (no
-          goodbye): a TCP worker reconnects and rejoins, a
-          socketpair-attached worker dies and is respawned *)
+          goodbye) once it has checkpointed its item: a TCP worker
+          reconnects and rejoins, a socketpair-attached worker dies and
+          is respawned.  Drawn once per completed path. *)
   | Proto_stall
       (** the worker freezes past its lease — a blocking sleep long
           enough that the coordinator presumes it dead and requeues its

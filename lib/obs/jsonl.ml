@@ -36,7 +36,10 @@ let add_num b f =
     Buffer.add_string b "null" (* JSON has no nan/inf *)
   else if Float.is_integer f && Float.abs f < 1e15 then
     Buffer.add_string b (Printf.sprintf "%.0f" f)
-  else Buffer.add_string b (Printf.sprintf "%.9g" f)
+  else
+    (* 17 significant digits round-trip every double: an epoch-seconds
+       timestamp keeps its microseconds. *)
+    Buffer.add_string b (Printf.sprintf "%.17g" f)
 
 let rec write b = function
   | Null -> Buffer.add_string b "null"

@@ -308,9 +308,8 @@ let cache_name = function 0 -> "miss" | 1 -> "model" | _ -> "unsat"
 let inc_name = function 0 -> "fresh" | 1 -> "partial" | _ -> "hit"
 
 (* Timestamps export as integer microseconds since [t0], the earliest
-   event: absolute epoch microseconds (~1.8e15) exceed the JSON writer's
-   exact-integer range and print with nine significant digits, which
-   flattens a whole run onto one [ts]. *)
+   event: absolute epoch microseconds (~1.8e15) are past the JSON
+   writer's plain-integer range and would print in exponent form. *)
 let json_of_event ~t0 e =
   let open Jsonl in
   let us t = Float.round (t *. 1e6) in

@@ -45,8 +45,13 @@ type t = {
   mutable nvars : int;
   mutable clauses : clause array;
   mutable nclauses : int;
-  (* watches.(l) = indices of clauses watching literal l *)
-  mutable watches : int list array;
+  (* watches.(l).(0 .. wlen.(l)-1) = indices of clauses watching literal
+     l, stored oldest first: the last element is the most recent watch and
+     is visited first, so a push is the cons of a watch list. *)
+  mutable watches : int array array;
+  mutable wlen : int array;
+  mutable wscratch : int array; (* propagate's copy of one watch vector *)
+  mutable lit_buf : int array; (* add_clause's normalisation buffer *)
   (* assignment: 0 = unassigned, 1 = true, 2 = false *)
   mutable assign : Bytes.t;
   mutable level : int array;
@@ -58,6 +63,14 @@ type t = {
   mutable qhead : int;
   mutable activity : float array;
   mutable var_inc : float;
+  (* Until the first bump every activity is 0, so the highest-activity
+     unassigned variable is the lowest-index one: [cursor] is at most that
+     index (every variable below it is assigned). *)
+  mutable bumped : bool;
+  mutable cursor : int;
+  (* analyze's marks, cleared through the list of variables it set *)
+  mutable seen : Bytes.t;
+  mutable seen_vars : int array;
   mutable polarity : Bytes.t; (* saved phase: 1 = last true *)
   (* Assumption stack: retractable asserted literals, oldest first.
      [frame_lim] holds the assumption count at each {!push}. *)
@@ -84,7 +97,10 @@ let create () =
     nvars = 0;
     clauses = Array.make 64 { lits = [||]; learned = false; act = 0. };
     nclauses = 0;
-    watches = Array.make 16 [];
+    watches = Array.make 16 [||];
+    wlen = Array.make 16 0;
+    wscratch = Array.make 16 0;
+    lit_buf = Array.make 16 0;
     assign = Bytes.make 8 '\000';
     level = Array.make 8 0;
     reason = Array.make 8 (-1);
@@ -95,6 +111,10 @@ let create () =
     qhead = 0;
     activity = Array.make 8 0.0;
     var_inc = 1.0;
+    bumped = false;
+    cursor = 0;
+    seen = Bytes.make 8 '\000';
+    seen_vars = Array.make 8 0;
     polarity = Bytes.make 8 '\000';
     assumptions = Array.make 8 0;
     n_assumptions = 0;
@@ -136,7 +156,10 @@ let new_var s =
   s.reason <- grow_array s.reason s.nvars (-1);
   s.trail <- grow_array s.trail s.nvars 0;
   s.activity <- grow_array s.activity s.nvars 0.0;
-  s.watches <- grow_array s.watches (2 * s.nvars) [];
+  s.seen <- grow_bytes s.seen s.nvars;
+  s.seen_vars <- grow_array s.seen_vars s.nvars 0;
+  s.watches <- grow_array s.watches (2 * s.nvars) [||];
+  s.wlen <- grow_array s.wlen (2 * s.nvars) 0;
   v
 
 (* Value of a literal: 0 unassigned, 1 true, 2 false. *)
@@ -155,6 +178,7 @@ let enqueue s (l : lit) reason =
   s.trail_len <- s.trail_len + 1
 
 let bump s v =
+  s.bumped <- true;
   s.activity.(v) <- s.activity.(v) +. s.var_inc;
   if s.activity.(v) > 1e100 then begin
     for i = 0 to s.nvars - 1 do
@@ -188,12 +212,28 @@ let backtrack s target_level =
       let v = lit_var l in
       Bytes.set s.polarity v (if lit_sign l then '\001' else '\000');
       Bytes.set s.assign v '\000';
-      s.reason.(v) <- -1
+      s.reason.(v) <- -1;
+      if v < s.cursor then s.cursor <- v
     done;
     s.trail_len <- bound;
     s.qhead <- bound;
     s.trail_lim_len <- target_level
   end
+
+(* Push clause [ci] onto literal [l]'s watch vector. *)
+let watch s l ci =
+  let n = s.wlen.(l) in
+  let ws = s.watches.(l) in
+  if n < Array.length ws then ws.(n) <- ci
+  else begin
+    let ws' = Array.make (max 4 (2 * n)) 0 in
+    for i = 0 to n - 1 do
+      ws'.(i) <- ws.(i)
+    done;
+    ws'.(n) <- ci;
+    s.watches.(l) <- ws'
+  end;
+  s.wlen.(l) <- n + 1
 
 let add_clause_internal s lits learned =
   let c = { lits; learned; act = 0. } in
@@ -207,8 +247,8 @@ let add_clause_internal s lits learned =
     s.n_learned_live <- s.n_learned_live + 1
   end;
   if Array.length lits >= 2 then begin
-    s.watches.(lits.(0)) <- idx :: s.watches.(lits.(0));
-    s.watches.(lits.(1)) <- idx :: s.watches.(lits.(1))
+    watch s lits.(0) idx;
+    watch s lits.(1) idx
   end;
   idx
 
@@ -219,19 +259,40 @@ let add_clause_internal s lits learned =
 let add_clause s lits =
   if not s.unsat then begin
     backtrack s 0;
-    let lits =
-      List.sort_uniq compare lits
-      |> List.filter (fun l -> lit_value s l <> 2)
+    s.lit_buf <- grow_array s.lit_buf (List.length lits) 0;
+    let buf = s.lit_buf in
+    (* Insertion-sort the unassigned literals into [buf] without
+       duplicates; -1 when some literal is already true. *)
+    let rec fill n = function
+      | [] -> n
+      | l :: rest -> (
+          match lit_value s l with
+          | 1 -> -1
+          | 2 -> fill n rest
+          | _ ->
+              let j = ref n in
+              while !j > 0 && buf.(!j - 1) > l do
+                decr j
+              done;
+              if !j > 0 && buf.(!j - 1) = l then fill n rest
+              else begin
+                for k = n downto !j + 1 do
+                  buf.(k) <- buf.(k - 1)
+                done;
+                buf.(!j) <- l;
+                fill (n + 1) rest
+              end)
     in
-    let tautology =
-      List.exists (fun l -> List.mem (lit_neg l) lits) lits
-      || List.exists (fun l -> lit_value s l = 1) lits
+    let n = fill 0 lits in
+    (* Sorted and distinct, so a literal and its negation are adjacent. *)
+    let rec complementary i =
+      i + 1 < n && (buf.(i) lxor 1 = buf.(i + 1) || complementary (i + 1))
     in
-    if not tautology then
-      match lits with
-      | [] -> s.unsat <- true
-      | [ l ] -> if lit_value s l = 0 then enqueue s l (-1)
-      | lits -> ignore (add_clause_internal s (Array.of_list lits) false)
+    if n = 0 then s.unsat <- true
+    else if n = 1 then enqueue s buf.(0) (-1)
+    else if n > 1 && not (complementary 0) then
+      (* stored sorted: the two smallest literals are the first watches *)
+      ignore (add_clause_internal s (Array.sub buf 0 n) false)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -276,62 +337,64 @@ let propagate s =
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
     let falsified = lit_neg l in
-    let ws = s.watches.(falsified) in
-    s.watches.(falsified) <- [];
-    let rec go = function
-      | [] -> ()
-      | ci :: rest -> (
-          let c = s.clauses.(ci) in
-          let lits = c.lits in
-          (* Ensure the falsified literal is at position 1. *)
-          if lits.(0) = falsified then begin
-            lits.(0) <- lits.(1);
-            lits.(1) <- falsified
-          end;
-          if lit_value s lits.(0) = 1 then begin
-            (* Clause already satisfied; keep the watch. *)
-            s.watches.(falsified) <- ci :: s.watches.(falsified);
-            go rest
+    (* Walk a scratch copy of the watch vector newest first and push
+       kept watchers back in visit order, as consing onto a list would:
+       the search (and its identity digest) depends on this order. *)
+    let nw = s.wlen.(falsified) in
+    if Array.length s.wscratch < nw then
+      s.wscratch <- Array.make (max nw (2 * Array.length s.wscratch)) 0;
+    let ws = s.wscratch in
+    let src = s.watches.(falsified) in
+    for i = 0 to nw - 1 do
+      ws.(i) <- src.(i)
+    done;
+    s.wlen.(falsified) <- 0;
+    let k = ref (nw - 1) in
+    while !k >= 0 do
+      let ci = ws.(!k) in
+      decr k;
+      let lits = s.clauses.(ci).lits in
+      (* Ensure the falsified literal is at position 1. *)
+      if lits.(0) = falsified then begin
+        lits.(0) <- lits.(1);
+        lits.(1) <- falsified
+      end;
+      if lit_value s lits.(0) = 1 then
+        (* Clause already satisfied; keep the watch. *)
+        watch s falsified ci
+      else begin
+        (* Look for a new watch. *)
+        let n = Array.length lits in
+        let i = ref 2 in
+        while !i < n && lit_value s lits.(!i) = 2 do
+          incr i
+        done;
+        if !i < n then begin
+          lits.(1) <- lits.(!i);
+          lits.(!i) <- falsified;
+          watch s lits.(1) ci
+        end
+        else begin
+          watch s falsified ci;
+          if lit_value s lits.(0) = 2 then begin
+            (* Conflict: restore the unvisited watches and stop. *)
+            conflict := ci;
+            while !k >= 0 do
+              watch s falsified ws.(!k);
+              decr k
+            done
           end
-          else begin
-            (* Look for a new watch. *)
-            let n = Array.length lits in
-            let rec find i =
-              if i >= n then -1
-              else if lit_value s lits.(i) <> 2 then i
-              else find (i + 1)
-            in
-            let i = find 2 in
-            if i >= 0 then begin
-              lits.(1) <- lits.(i);
-              lits.(i) <- falsified;
-              s.watches.(lits.(1)) <- ci :: s.watches.(lits.(1));
-              go rest
-            end
-            else begin
-              s.watches.(falsified) <- ci :: s.watches.(falsified);
-              if lit_value s lits.(0) = 2 then begin
-                (* Conflict: restore remaining watches and stop. *)
-                conflict := ci;
-                List.iter
-                  (fun cj ->
-                    s.watches.(falsified) <- cj :: s.watches.(falsified))
-                  rest
-              end
-              else begin
-                enqueue s lits.(0) ci;
-                go rest
-              end
-            end
-          end)
-    in
-    go ws
+          else enqueue s lits.(0) ci
+        end
+      end
+    done
   done;
   !conflict
 
 (* First-UIP conflict analysis.  Returns (learned clause, backtrack level). *)
 let analyze s conflict =
-  let seen = Bytes.make s.nvars '\000' in
+  let seen = s.seen in
+  let nseen = ref 0 in
   let learned = ref [] in
   let counter = ref 0 in
   let p = ref (-1) in
@@ -347,6 +410,8 @@ let analyze s conflict =
       let v = lit_var q in
       if Bytes.get seen v = '\000' && s.level.(v) > 0 then begin
         Bytes.set seen v '\001';
+        s.seen_vars.(!nseen) <- v;
+        incr nseen;
         bump s v;
         if s.level.(v) >= decision_level s then incr counter
         else learned := q :: !learned
@@ -375,6 +440,9 @@ let analyze s conflict =
         lits.(0) <- l
       end
     end
+  done;
+  for i = 0 to !nseen - 1 do
+    Bytes.set seen s.seen_vars.(i) '\000'
   done;
   let learned = !p :: !learned in
   (* Backtrack level: second-highest level in the learned clause. *)
@@ -434,7 +502,7 @@ let reduce_db s =
     (* Rebuild the watch lists over the surviving clauses, preferring
        non-false watch positions so the two-watch invariant holds at
        level 0. *)
-    Array.fill s.watches 0 (Array.length s.watches) [];
+    Array.fill s.wlen 0 (Array.length s.wlen) 0;
     for ci = 0 to s.nclauses - 1 do
       let lits = s.clauses.(ci).lits in
       if Array.length lits >= 2 then begin
@@ -456,8 +524,8 @@ let reduce_db s =
             best := i
         done;
         swap 1 !best;
-        s.watches.(lits.(0)) <- ci :: s.watches.(lits.(0));
-        s.watches.(lits.(1)) <- ci :: s.watches.(lits.(1))
+        watch s lits.(0) ci;
+        watch s lits.(1) ci
       end
     done;
     (* Kept clauses changed index: remap the reasons of the (level-0)
@@ -475,17 +543,27 @@ let reduce_db s =
 (* Search                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Pick the unassigned variable with the highest activity. *)
+(* Pick the unassigned variable with the highest activity, the lowest
+   index among ties.  Before the first bump all activities are 0, so that
+   is the first unassigned variable at or after the cursor. *)
 let pick_branch s =
-  let best = ref (-1) in
-  let best_act = ref (-1.0) in
-  for v = 0 to s.nvars - 1 do
-    if Bytes.get s.assign v = '\000' && s.activity.(v) > !best_act then begin
-      best := v;
-      best_act := s.activity.(v)
-    end
-  done;
-  !best
+  if not s.bumped then begin
+    while s.cursor < s.nvars && Bytes.get s.assign s.cursor <> '\000' do
+      s.cursor <- s.cursor + 1
+    done;
+    if s.cursor < s.nvars then s.cursor else -1
+  end
+  else begin
+    let best = ref (-1) in
+    let best_act = ref (-1.0) in
+    for v = 0 to s.nvars - 1 do
+      if Bytes.get s.assign v = '\000' && s.activity.(v) > !best_act then begin
+        best := v;
+        best_act := s.activity.(v)
+      end
+    done;
+    !best
+  end
 
 type result = Sat | Unsat | Unknown
 

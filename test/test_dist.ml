@@ -65,8 +65,9 @@ int main() {
   return 0;
 } |}
 
-(* 2^12 = 4096 paths: seconds of runway, so probabilistic disconnect
-   chaos (p = 0.05 per liveness draw) fires many times per run. *)
+(* 2^12 = 4096 paths: disconnect chaos is drawn once per completed path
+   (p = 0.05), so it fires many times per run however fast the
+   workers are. *)
 let workload_4096 =
   {|
 int main() {
@@ -524,8 +525,8 @@ let fork_tcp_worker ?(delay = 0.) ~port ~make_engine () =
       done;
       if delay > 0. then Unix.sleepf delay;
       (try
-         (* heartbeat 0.02: ~50 liveness draws/sec, so a probabilistic
-            chaos plan reliably fires even on short runs *)
+         (* heartbeat 0.02: ~50 liveness messages (and proto.stall/
+            proto.delay draws) per second *)
          Worker.serve_tcp ~jobs:1 ~slice:0.01 ~heartbeat:0.02 ~max_retries:60
            ~host:"127.0.0.1" ~port ~make_engine ()
        with _ -> ());
@@ -539,8 +540,8 @@ let reap_worker pid =
 let boot_entry eng = Executor.boot eng ~entry:0x1000 ()
 
 (* The acceptance scenario: two TCP workers under disconnect chaos
-   (every heartbeat draw has a 5% chance of abruptly severing the
-   connection).  Workers must keep rejoining with their session tokens;
+   (every completed path has a 5% chance of making its worker checkpoint
+   and then abruptly sever the connection).  Workers must keep rejoining with their session tokens;
    transport loss must never bleed into abandonment; and the final case
    set must match a serial run exactly. *)
 let test_tcp_disconnect_chaos () =

@@ -172,6 +172,11 @@ let test_jsonl_roundtrip () =
         ("kind", Jsonl.Str "final");
         ("seq", Jsonl.Num 17.);
         ("frac", Jsonl.Num 0.5);
+        (* an epoch-seconds timestamp keeps its sub-second digits and a
+           large counter every digit: the structural check below is
+           exact float equality *)
+        ("ts", Jsonl.Num 1_760_000_000.123456);
+        ("count", Jsonl.Num 1_234_567_891_234.);
         ("ok", Jsonl.Bool true);
         ("none", Jsonl.Null);
         ("esc", Jsonl.Str "a\"b\\c\nd");

@@ -470,6 +470,112 @@ let test_bitblast_literal_stable () =
   Alcotest.(check bool) "distinct nodes get distinct literals" true
     (Bitblast.literal bctx other <> l1)
 
+(* Search identity: the SAT core's data structures may change, its search
+   may not.  A seeded stream of random 3-SAT instances near the threshold
+   (40-120 variables, clause ratio 3.8-4.5) runs through solve, push/
+   assume/solve_assuming/pop rounds and clauses added between rounds;
+   two larger instances push the learned-clause database past its limit
+   so reduce_db runs.  Every call's result, cumulative counters and model
+   bits are folded into one digest.  Returns the digest, the total
+   conflicts and, per large instance, whether reduction dropped clauses. *)
+let sat_search_trace () =
+  let x = ref 0x5EED_2011 in
+  let rand n =
+    x := !x lxor (!x lsl 13);
+    x := !x lxor (!x lsr 7);
+    x := !x lxor (!x lsl 17);
+    (!x land max_int) mod n
+  in
+  let buf = Buffer.create 4096 in
+  let conflicts = ref 0 in
+  let record s r nv =
+    let st = Sat.stats s in
+    Buffer.add_string buf
+      (Printf.sprintf "%c%d,%d,%d,%d,%d,%d;"
+         (match r with Sat.Sat -> 'S' | Sat.Unsat -> 'U' | Sat.Unknown -> '?')
+         st.Sat.conflicts st.decisions st.propagations st.restarts st.learned
+         st.learned_kept);
+    if r = Sat.Sat then
+      for v = 0 to nv - 1 do
+        Buffer.add_char buf (if Sat.model_value s v then '1' else '0')
+      done
+  in
+  let instance nv ratio_pct =
+    let s = Sat.create () in
+    for _ = 1 to nv do
+      ignore (Sat.new_var s)
+    done;
+    let lit () =
+      let v = rand nv in
+      if rand 2 = 0 then Sat.pos v else Sat.neg v
+    in
+    let clause () =
+      let a = rand nv in
+      let rec other avoid =
+        let v = rand nv in
+        if List.mem v avoid then other avoid else v
+      in
+      let b = other [ a ] in
+      let c = other [ a; b ] in
+      List.map
+        (fun v -> if rand 2 = 0 then Sat.pos v else Sat.neg v)
+        [ a; b; c ]
+    in
+    let m = nv * ratio_pct / 100 in
+    let upfront = m * 7 / 10 in
+    for _ = 1 to upfront do
+      Sat.add_clause s (clause ())
+    done;
+    record s (Sat.solve s) nv;
+    let rest = ref (m - upfront) in
+    for round = 1 to 6 do
+      Sat.push s;
+      for _ = 0 to rand 3 do
+        Sat.assume s (lit ())
+      done;
+      if round mod 2 = 0 then begin
+        Sat.push s;
+        Sat.assume s (lit ())
+      end;
+      let extra = List.init (1 + rand 2) (fun _ -> lit ()) in
+      record s (Sat.solve_assuming s extra) nv;
+      record s (Sat.solve s) nv;
+      (* Clauses added while frames are open: add_clause backtracks to
+         level 0 and the next solve re-decides the assumptions. *)
+      let k = min !rest ((!rest / (7 - round)) + rand 2) in
+      for _ = 1 to k do
+        Sat.add_clause s (clause ())
+      done;
+      rest := !rest - k;
+      record s (Sat.solve_assuming s [ lit () ]) nv;
+      while Sat.frames s > 0 do
+        Sat.pop s
+      done
+    done;
+    record s (Sat.solve s) nv;
+    let st = Sat.stats s in
+    conflicts := !conflicts + st.Sat.conflicts;
+    st.Sat.learned_kept < st.Sat.learned
+  in
+  for _ = 1 to 200 do
+    ignore (instance (40 + rand 81) (380 + rand 71))
+  done;
+  let reduced = List.map (fun nv -> instance nv 426) [ 160; 180 ] in
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), !conflicts, reduced)
+
+(* The digest was recorded with the SAT core of commit 03d397b (cons-list
+   watches, allocating add_clause, scanning pick_branch).  Any change to
+   the search — visit order, decision order, learned-clause choice —
+   changes it. *)
+let test_sat_search_identity () =
+  let digest, conflicts, reduced = sat_search_trace () in
+  Alcotest.(check bool) "enough conflicts to cover learning" true
+    (conflicts > 10_000);
+  Alcotest.(check (list bool)) "reduce_db dropped clauses on both large"
+    [ true; true ] reduced;
+  Alcotest.(check string) "search digest" "ec54ff127959f2c4b9fa5c500100237d"
+    digest
+
 (* Whole-engine differential: every solver mode must explore the same
    tree and emit byte-identical sorted case sets, serially and with
    domain-parallel workers (each worker gets a private instance ring, so
@@ -512,6 +618,8 @@ let tests =
   [
     Alcotest.test_case "sat basic" `Quick test_sat_basic;
     Alcotest.test_case "sat pigeonhole (learning)" `Quick test_sat_pigeonhole;
+    Alcotest.test_case "sat search identity digest" `Quick
+      test_sat_search_identity;
     Alcotest.test_case "solver linear" `Quick test_solver_simple;
     Alcotest.test_case "solver unsat interval" `Quick test_solver_unsat;
     Alcotest.test_case "solver multiplication" `Quick test_solver_mul;

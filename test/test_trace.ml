@@ -316,6 +316,69 @@ let test_json_valid () =
           in
           Alcotest.(check bool) "query prefix is a hex string" true some_query)
 
+(* The [s2e_cli trace] report leads with realized reuse: its first
+   solver line counts the SAT-core queries (query-cache misses) and those
+   answered on a live incremental instance, and both counts must equal
+   the trace's own Query events. *)
+let test_report_leads_with_reuse () =
+  with_trace (fun () ->
+      let _, events = traced_explore 1 in
+      let sat_q, sat_inc =
+        List.fold_left
+          (fun (q, i) e ->
+            if e.Trace.ev_code = Trace.Query && e.ev_c mod 4 = 0 then
+              (q + 1, if e.ev_c / 16 > 0 then i + 1 else i)
+            else (q, i))
+          (0, 0) events
+      in
+      Alcotest.(check bool) "the run reached the SAT core" true (sat_q > 0);
+      let file = Filename.temp_file "s2e_trace" ".json" in
+      let out = Filename.temp_file "s2e_trace" ".txt" in
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.remove file;
+          Sys.remove out)
+        (fun () ->
+          Out_channel.with_open_bin file (fun oc ->
+              output_string oc
+                (Obs.Jsonl.to_string (Trace.to_json ~dropped:0 events)));
+          let cli =
+            Filename.concat
+              (Filename.dirname Sys.executable_name)
+              "../bin/s2e_cli.exe"
+          in
+          let rc =
+            Sys.command
+              (Printf.sprintf "%s trace %s > %s" (Filename.quote cli)
+                 (Filename.quote file) (Filename.quote out))
+          in
+          Alcotest.(check int) "trace exits 0" 0 rc;
+          let lines =
+            In_channel.with_open_bin out In_channel.input_all
+            |> String.split_on_char '\n'
+          in
+          let index prefix =
+            let rec go i = function
+              | [] -> Alcotest.failf "no %S line" prefix
+              | l :: rest ->
+                  if String.starts_with ~prefix l then (i, l)
+                  else go (i + 1) rest
+            in
+            go 0 lines
+          in
+          let reuse_at, reuse = index "SAT-core reuse:" in
+          let prefixes_at, _ = index "constraint prefixes:" in
+          Alcotest.(check bool) "reuse line comes before the prefix line" true
+            (reuse_at < prefixes_at);
+          let n, m =
+            Scanf.sscanf reuse
+              "SAT-core reuse: %d of %d SAT-core queries answered on a live \
+               instance"
+              (fun n m -> (n, m))
+          in
+          Alcotest.(check int) "SAT-core queries" sat_q m;
+          Alcotest.(check int) "answered on a live instance" sat_inc n))
+
 (* Exported timestamps are integer microseconds rebased to the first
    event: absolute epoch microseconds printed with nine significant
    digits used to flatten a whole run onto one [ts]. *)
@@ -406,6 +469,8 @@ let tests =
       test_json_valid;
     Alcotest.test_case "trace_event ts: integer, rebased, monotone per tid"
       `Quick test_json_timestamps;
+    Alcotest.test_case "trace report leads with realized reuse" `Quick
+      test_report_leads_with_reuse;
     Alcotest.test_case "reporter flushes final line on exception" `Quick
       test_reporter_flushes_on_exception;
   ]
