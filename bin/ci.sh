@@ -355,12 +355,13 @@ captured=$(sed -n 's/^captured \([0-9][0-9]*\) block(s).*/\1/p' "$oracle_dir/cap
   || { echo "CI: oracle captured no blocks" >&2; exit 1; }
 echo "CI: oracle smoke test passed (500 generated + corpus + $captured captured blocks)"
 
-# Paper-workload correctness gate: a short perfbench run of each serial
+# Paper-workload correctness gate: a short perfbench run of each
 # workload must match perfbench/expected.json on every iteration (case
 # digest, PROFS profile digest, per-path misses) with no failed
-# iteration.  No timing floors.  run.py rebuilds _build in the release
-# profile, so this runs last.
-for w in ddt_pcnet profs_urlparse; do
+# iteration; c111_dist also runs the engine inside two fork-server
+# worker processes.  No timing floors.  run.py rebuilds _build in the
+# release profile, so this runs last.
+for w in ddt_pcnet profs_urlparse c111_dist; do
   last=$(timeout 300 python3 perfbench/run.py --workload "$w" --seed 1 \
     --seconds 5 --trace 0 | tail -n 1)
   printf '%s\n' "$last" | grep -q '"correct": true' \
@@ -368,4 +369,4 @@ for w in ddt_pcnet profs_urlparse; do
   printf '%s\n' "$last" | grep -q '"failed": 0,' \
     || { echo "CI: perfbench $w had failed iterations" >&2; exit 1; }
 done
-echo "CI: perfbench correctness gate passed (ddt_pcnet, profs_urlparse)"
+echo "CI: perfbench correctness gate passed (ddt_pcnet, profs_urlparse, c111_dist)"

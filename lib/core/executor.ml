@@ -132,6 +132,10 @@ type t = {
          merge points) back into the searcher so [live] is
          self-describing.  Installed by the merge controller; called
          before snapshotting the frontier for another process. *)
+  mutable gauged : Expr.t list;
+      (* Path condition whose length this engine last reported to the
+         [engine.max_constraint_set] gauge (a running maximum), so blocks
+         that leave the path condition alone do not measure it again. *)
 }
 
 let create ?(config = default_config ()) ?(solver = Solver.default_ctx) () =
@@ -149,6 +153,7 @@ let create ?(config = default_config ()) ?(solver = Solver.default_ctx) () =
     annotations = Hashtbl.create 16;
     var_tags = [];
     quiesce = (fun () -> ());
+    gauged = [];
   }
 
 (** A view of a linked guest image: origin, raw code bytes, and module
@@ -870,7 +875,10 @@ let exec_tb_body t (s : State.t) =
   t.stats.sym_instret <- t.stats.sym_instret + (s.sym_instret - sym_before);
   Obs.Metrics.add m_instructions n;
   Obs.Metrics.add m_sym_instructions (s.sym_instret - sym_before);
-  Obs.Metrics.set m_max_constraints (List.length s.constraints);
+  if s.constraints != t.gauged then begin
+    t.gauged <- s.constraints;
+    Obs.Metrics.set m_max_constraints (State.constraint_count s)
+  end;
   s.virtual_time <- Int64.add s.virtual_time (Int64.of_int ticks);
   if s.status = State.Active && not s.irqs_suppressed then begin
     let irqs = Vm.Devices.tick s.devices ticks in
@@ -926,7 +934,9 @@ let run_loop ~(limits : run_limits) t =
   in
   (* Footprint high watermark: new live states appear only at forks, so
      fold the live footprints once per fork-count change (and once for
-     the starting frontier), never per block. *)
+     the starting frontier), never per block.  Each state remembers its
+     last measurement, so the fold re-measures only the states whose
+     memory or path condition changed since. *)
   let sampled_forks = ref (-1) in
   let rec loop () =
     if not (over_budget ()) then

@@ -43,7 +43,13 @@ let dfs () =
     remove = (fun s -> stack := List.filter (fun s' -> s'.State.id <> s.State.id) !stack);
     select =
       (fun () ->
-        stack := filter_live !stack;
+        (* Pop finished states off the top only: the first live state is
+           the same one a filter of the whole stack would put on top. *)
+        let rec top = function
+          | s :: rest when not (State.is_active s) -> top rest
+          | l -> l
+        in
+        stack := top !stack;
         match !stack with [] -> None | s :: _ -> Some s);
     size = (fun () -> List.length (filter_live !stack));
   }

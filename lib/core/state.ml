@@ -41,6 +41,20 @@ type case_tree =
       b_tree : case_tree;
     }
 
+(* A measurement of one memory and one path condition.  Both are
+   persistent values, so physical equality says "unchanged". *)
+type sizes = {
+  of_mem : Symmem.t;
+  overlay : int; (* Symmem.overlay_size of_mem *)
+  of_constraints : Expr.t list;
+  count : int; (* List.length of_constraints *)
+  nodes : int; (* sum of Expr.size over of_constraints *)
+}
+
+let unmeasured =
+  { of_mem = Symmem.create ~base:Bytes.empty; overlay = 0; of_constraints = [];
+    count = 0; nodes = 0 }
+
 type t = {
   id : int;
   mutable parent : int;
@@ -80,6 +94,7 @@ type t = {
       (* pending merge rendezvous as (merge_id, pc, ret-stack depth),
          innermost first; empty unless a merge controller is installed *)
   mutable cases : case_tree;
+  mutable sizes : sizes; (* last measurement, see [measure] *)
 }
 
 (* Atomic so states can be forked concurrently by parallel exploration
@@ -121,6 +136,7 @@ let create ~mem ~devices ~pc =
     ret_stack = [];
     rendezvous = [];
     cases = Case_leaf;
+    sizes = unmeasured;
   }
 
 (** Fork a copy for the other side of a branch. *)
@@ -170,13 +186,41 @@ let reintern t =
   t.mem <- Symmem.map_overlay intern t.mem;
   t.cases <- map_case_tree intern t.cases
 
+(* Bring [t.sizes] up to date.  Constraints are only ever pushed on top
+   of a persistent list, so the walk from the head usually reaches the
+   measured list after the few newest constraints; a path condition
+   rebuilt some other way (a merge, a re-intern) is walked to the end,
+   which is still exact. *)
+let measure t =
+  let m = t.sizes in
+  if m.of_mem == t.mem && m.of_constraints == t.constraints then m
+  else begin
+    let rec walk l count nodes =
+      if l == m.of_constraints then
+        { m with of_constraints = t.constraints; count = count + m.count;
+          nodes = nodes + m.nodes }
+      else
+        match l with
+        | [] -> { m with of_constraints = t.constraints; count; nodes }
+        | c :: rest -> walk rest (count + 1) (nodes + Expr.size c)
+    in
+    let m = walk t.constraints 0 0 in
+    let m =
+      if m.of_mem == t.mem then m
+      else { m with of_mem = t.mem; overlay = Symmem.overlay_size t.mem }
+    in
+    t.sizes <- m;
+    m
+  end
+
 (** Estimated state footprint in "words" (registers + private memory
     overlay + constraints): the quantity the Fig. 8 memory benchmark
     reports a high-watermark of. *)
 let footprint t =
-  Array.length t.regs
-  + Symmem.overlay_size t.mem
-  + List.fold_left (fun acc c -> acc + Expr.size c) 0 t.constraints
+  let m = measure t in
+  Array.length t.regs + m.overlay + m.nodes
+
+let constraint_count t = (measure t).count
 
 (* Concrete snapshot helpers for the differential oracle: evaluate the
    state's registers / a memory window under a solver model, yielding the

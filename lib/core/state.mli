@@ -39,6 +39,14 @@ type case_tree =
       b_tree : case_tree;
     }
 
+type sizes
+(** What {!footprint} and {!constraint_count} last measured, kept so the
+    next measurement only looks at what changed since. *)
+
+val unmeasured : sizes
+(** The [sizes] of a state built by hand (e.g. decoded from a snapshot):
+    its first measurement counts everything. *)
+
 type t = {
   id : int;
   mutable parent : int;
@@ -73,6 +81,7 @@ type t = {
       (** pending merge rendezvous as [(merge_id, pc, ret-stack depth)],
           innermost first; empty unless a merge controller is installed *)
   mutable cases : case_tree;
+  mutable sizes : sizes;
 }
 
 val create : mem:Symmem.t -> devices:S2e_vm.Devices.t -> pc:int -> t
@@ -103,7 +112,12 @@ val reintern : t -> unit
 
 val footprint : t -> int
 (** Estimated state size in words (registers + private memory overlay +
-    constraints): the Fig. 8 memory metric. *)
+    constraints): the Fig. 8 memory metric.  Recounts the overlay only
+    when the memory changed since the last measurement, and walks only
+    the constraints added since. *)
+
+val constraint_count : t -> int
+(** [List.length t.constraints], measured like {!footprint}. *)
 
 val eval_regs : Expr.model -> t -> int array
 (** The register file evaluated concretely under a solver model (the zero

@@ -36,9 +36,19 @@ type t = {
   cuts : (int, unit) Hashtbl.t;
   mutable translations : int;
   mutable max_block : int;
-  (* Invalidation: translated address ranges, coarse-grained. *)
-  mutable translated_ranges : (int * int) list;
+  (* Invalidation index: [code.(g)] counts the cached blocks overlapping
+     granule [g] (bytes [g lsl granule_bits] onwards) of the non-negative
+     address space, grown on demand up to [max_granules].  A store into a
+     granule at zero cannot hit translated code, which answers almost
+     every guest store in O(1); the others scan the cache.  Blocks
+     reaching past the last granule are counted in [far] instead, and
+     while any is cached every store takes the scan. *)
+  mutable code : int array;
+  mutable far : int;
 }
+
+let granule_bits = 6
+let max_granules = 1 lsl 16
 
 let create ?(max_block = 32) () =
   {
@@ -47,8 +57,30 @@ let create ?(max_block = 32) () =
     cuts = Hashtbl.create 64;
     translations = 0;
     max_block;
-    translated_ranges = [];
+    code = [||];
+    far = 0;
   }
+
+let block_stop tb = tb.tb_start + (Array.length tb.insns * Insn.insn_size)
+
+(* Add [delta] (a block entering or leaving the cache) to the count of
+   every granule the block's non-negative part overlaps. *)
+let count_code t tb delta =
+  let lo = max 0 tb.tb_start and hi = block_stop tb in
+  if hi > lo then begin
+    let g0 = lo lsr granule_bits and g1 = (hi - 1) lsr granule_bits in
+    if g1 >= max_granules then t.far <- t.far + delta
+    else begin
+      if g1 >= Array.length t.code then begin
+        let grown = Array.make (min max_granules (max (g1 + 1) (2 * Array.length t.code))) 0 in
+        Array.blit t.code 0 grown 0 (Array.length t.code);
+        t.code <- grown
+      end;
+      for g = g0 to g1 do
+        t.code.(g) <- t.code.(g) + delta
+      done
+    end
+  end
 
 (** Mark [addr] for execution notification (called by plugins from an
     onInstrTranslation handler). *)
@@ -81,41 +113,48 @@ let translate t ~fetch ~on_translate pc =
           let insns = Array.of_list (go pc [] 0) in
           let tb = { tb_start = pc; insns; exec_count = 0 } in
           Hashtbl.replace t.cache pc tb;
-          let last, _ = insns.(Array.length insns - 1) in
-          t.translated_ranges <-
-            (pc, last + Insn.insn_size) :: t.translated_ranges;
+          count_code t tb 1;
           tb)
+
+(* Whether some cached block may cover [addr]: exact to the granule.
+   Negative addresses are not counted and always take the full scan. *)
+let may_hold_code t addr =
+  addr < 0 || t.far > 0
+  ||
+  let g = addr lsr granule_bits in
+  g < Array.length t.code && t.code.(g) > 0
 
 (** Invalidate any block covering [addr] (a guest write hit translated
     code). *)
 let invalidate t addr =
-  let hit = List.exists (fun (lo, hi) -> addr >= lo && addr < hi) t.translated_ranges in
-  if hit then begin
+  if may_hold_code t addr then begin
     (* Coarse but correct: drop every cached block overlapping the write. *)
     let victims =
       Hashtbl.fold
         (fun start tb acc ->
-          let stop = start + (Array.length tb.insns * Insn.insn_size) in
-          if addr >= start && addr < stop then start :: acc else acc)
+          if addr >= start && addr < block_stop tb then tb :: acc else acc)
         t.cache []
     in
-    Obs.Metrics.add m_tb_invalidations (List.length victims);
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:addr ~b:(List.length victims) t_invalidate;
-    List.iter (Hashtbl.remove t.cache) victims;
-    t.translated_ranges <-
-      List.filter
-        (fun (lo, hi) -> not (addr >= lo && addr < hi))
-        t.translated_ranges
+    if victims <> [] then begin
+      Obs.Metrics.add m_tb_invalidations (List.length victims);
+      if Obs.Trace.enabled () then
+        Obs.Trace.instant ~a:addr ~b:(List.length victims) t_invalidate;
+      List.iter
+        (fun tb ->
+          Hashtbl.remove t.cache tb.tb_start;
+          count_code t tb (-1))
+        victims
+    end
   end
 
 (** Drop every cached block.  The cumulative translation count is kept
-    (it is monotone by contract); only the cache and its range index are
+    (it is monotone by contract); only the cache and its code index are
     cleared.  Used by the differential oracle, which reuses one
     translator across runs that place different code at the same pc. *)
 let flush t =
   Hashtbl.reset t.cache;
-  t.translated_ranges <- []
+  t.code <- [||];
+  t.far <- 0
 
 (** Force a block boundary before [addr]: no block extends past it, so
     [addr] always starts its own block and execution pauses there between
@@ -125,5 +164,7 @@ let cut t addr =
     Hashtbl.replace t.cuts addr ();
     invalidate t addr
   end
+
+let is_cached t pc = Hashtbl.mem t.cache pc
 
 let stats t = (t.translations, Hashtbl.length t.cache)

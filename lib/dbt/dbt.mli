@@ -27,7 +27,8 @@ val translate :
     fires once per instruction per (re-)translation. *)
 
 val invalidate : t -> int -> unit
-(** A guest write hit this address: drop any block covering it. *)
+(** A guest write hit this address: drop any block covering it.  O(1)
+    unless a cached block overlaps the 64-byte granule of the address. *)
 
 val cut : t -> int -> unit
 (** Force a permanent block boundary before this address: no translation
@@ -38,6 +39,9 @@ val cut : t -> int -> unit
 val flush : t -> unit
 (** Drop every cached block.  The cumulative translation count is
     preserved; [stats] stays monotone across a flush. *)
+
+val is_cached : t -> int -> bool
+(** Whether a block starting at this pc is cached. *)
 
 val stats : t -> int * int
 (** (total translations, blocks currently cached). *)

@@ -703,6 +703,7 @@ let decode_state ~base buf =
     ret_stack;
     rendezvous = [];
     cases;
+    sizes = State.unmeasured;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -157,9 +157,30 @@ module HC = Weak.Make (struct
   let equal = shallow_equal
 end)
 
-(* Domain-local intern table: workers never contend on it, and a dying
-   domain's table is simply collected. *)
-let table_key : HC.t Domain.DLS.key = Domain.DLS.new_key (fun () -> HC.create 4096)
+(* Concrete execution builds a few constants per guest instruction, and a
+   weak-table probe allocates a candidate node, its metadata and a boxed
+   value before it finds the existing node.  A direct-mapped front cache
+   of already-interned constants answers the common case without
+   allocating.  Every cached node came out of the same domain's weak
+   table and stays alive (hence in the table) while cached, so a hit
+   returns exactly the node the table would: structural equality still
+   implies physical equality.  An evicted node that is still referenced
+   elsewhere is still in the table, and one that is not has no live copy
+   to disagree with.  The cache holds at most [const_cache_slots]
+   constants (about 100 bytes each) per domain. *)
+let const_cache_slots = 4096
+
+(* Fills empty slots; its negative width never matches a lookup. *)
+let no_const =
+  Const { value = 0L; width = -1; meta = { uid = -1; mhash = 0; msize = 1; mvars = Int_set.empty } }
+
+type interning = { table : HC.t; consts : t array }
+
+(* Domain-local intern table and constant cache: workers never contend on
+   them, and a dying domain's copies are simply collected. *)
+let interning_key : interning Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { table = HC.create 4096; consts = Array.make const_cache_slots no_const })
 
 (* Node ids are process-unique (memo tables key on them across stolen /
    decoded expressions) but handed out in domain-local blocks so the hot
@@ -182,16 +203,26 @@ let next_uid () =
   a.next <- id + 1;
   id
 
-let intern node = HC.merge (Domain.DLS.get table_key) node
+let intern node = HC.merge (Domain.DLS.get interning_key).table node
 
 (* Interning raw constructors: compute metadata, then find-or-add.  On a
    hit the candidate (and its uid) is discarded; uids may have gaps. *)
 
 let mk_const value width =
   let mhash = mix (mix 1 (i64h value)) width in
-  intern
-    (Const
-       { value; width; meta = { uid = next_uid (); mhash; msize = 1; mvars = Int_set.empty } })
+  let d = Domain.DLS.get interning_key in
+  let slot = mhash land (const_cache_slots - 1) in
+  match Array.unsafe_get d.consts slot with
+  | Const c as e when c.width = width && Int64.equal c.value value -> e
+  | _ ->
+      let e =
+        HC.merge d.table
+          (Const
+             { value; width;
+               meta = { uid = next_uid (); mhash; msize = 1; mvars = Int_set.empty } })
+      in
+      Array.unsafe_set d.consts slot e;
+      e
 
 let mk_var id name width =
   (* Hash and shallow equality key on the variable id alone: ids are

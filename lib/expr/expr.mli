@@ -93,6 +93,11 @@ val vars : t -> Int_set.t
 val const : ?width:int -> int64 -> t
 (** Defaults to width 32; the value is truncated to the width. *)
 
+val const_cache_slots : int
+(** Size of each domain's direct-mapped cache of interned constants, a
+    power of two: constant [c] occupies slot
+    [hash c land (const_cache_slots - 1)]. *)
+
 val bool_t : t
 val bool_f : t
 val of_bool : bool -> t

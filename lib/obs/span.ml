@@ -54,7 +54,7 @@ let timed ?on_elapsed ph f =
     (match d.stack with
     | parent :: _ -> parent.child <- parent.child +. dt
     | [] -> ());
-    match on_elapsed with Some g -> g dt | None -> ()
+    match on_elapsed with Some g -> g ~start:t0 dt | None -> ()
   in
   match f () with
   | r ->

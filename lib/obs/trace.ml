@@ -309,17 +309,23 @@ let inc_name = function 0 -> "fresh" | 1 -> "partial" | _ -> "hit"
 
 (* Timestamps export as integer microseconds since [t0], the earliest
    event: absolute epoch microseconds (~1.8e15) are past the JSON
-   writer's plain-integer range and would print in exponent form. *)
+   writer's plain-integer range and would print in exponent form.  A
+   span's start and end are rounded, and its duration is their
+   difference: rounding the duration on its own could push a child's end
+   past its parent's. *)
 let json_of_event ~t0 e =
   let open Jsonl in
-  let us t = Float.round (t *. 1e6) in
+  let us t = Float.round ((t -. t0) *. 1e6) in
+  let ts = us e.ev_ts in
   let base name ph args =
     let common =
-      [ ("name", Str name); ("ph", Str ph); ("ts", Num (us (e.ev_ts -. t0)));
+      [ ("name", Str name); ("ph", Str ph); ("ts", Num ts);
         ("pid", Num (float_of_int e.ev_pid));
         ("tid", Num (float_of_int e.ev_dom)) ]
     in
-    let dur = if ph = "X" then [ ("dur", Num (us e.ev_dur)) ] else [] in
+    let dur =
+      if ph = "X" then [ ("dur", Num (us (e.ev_ts +. e.ev_dur) -. ts)) ] else []
+    in
     let scope = if ph = "i" then [ ("s", Str "t") ] else [] in
     Obj (common @ dur @ scope @ [ ("args", Obj args) ])
   in

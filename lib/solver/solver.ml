@@ -650,7 +650,7 @@ let check_ctx ~use_model_cache ctx constraints =
   let q_inc = ref 0 (* 0 fresh / 1 partial prefix hit / 2 full hit *) in
   let q_result = ref 2 (* 0 sat / 1 unsat / 2 unknown *) in
   Obs.Span.timed solver_phase
-    ~on_elapsed:(fun dt ->
+    ~on_elapsed:(fun ~start dt ->
       st.total_time <- st.total_time +. dt;
       if dt > st.max_time then st.max_time <- dt;
       Obs.Metrics.observe m_query_hist dt;
@@ -659,7 +659,7 @@ let check_ctx ~use_model_cache ctx constraints =
         st.prefix_reused_time <- st.prefix_reused_time +. dt
       end;
       if Obs.Trace.enabled () then
-        Obs.Trace.query ~inc:!q_inc ~dur:dt ~prefix:!q_prefix ~nodes:!q_nodes
+        Obs.Trace.query ~ts:start ~inc:!q_inc ~dur:dt ~prefix:!q_prefix ~nodes:!q_nodes
           ~result:!q_result ~cache:!q_cache ())
     (fun () ->
       let constraints = List.map Simplifier.simplify constraints in

@@ -28,6 +28,7 @@ type result = {
   seconds : float;
   coverage : float; (* of the driver module *)
   instructions : int;
+  drained : bool; (* every path ended before a budget stopped the run *)
 }
 
 (* Netdev port range treated as symbolic hardware. *)
@@ -77,9 +78,11 @@ let install_lc_annotations engine img checker =
     ~addr:(Guest.symbol img "driver_set")
     ~reg:0 ~name:"set_code" ~lo:0 ~hi:255
 
-(** Test [driver] under [consistency].  Returns the distinct bugs found. *)
-let run ?(max_seconds = 20.0) ?(max_instructions = 3_000_000) ~driver
-    ~consistency () =
+(** Test [driver] under [consistency].  Returns the distinct bugs found.
+    [setup] sees the fully configured engine just before exploration
+    starts (e.g. to wrap its searcher). *)
+let run ?(max_seconds = 20.0) ?(max_instructions = 3_000_000)
+    ?(setup = fun (_ : Executor.t) -> ()) ~driver ~consistency () =
   S2e_solver.Solver.reset_stats ();
   let engine, img = build_engine ~driver ~consistency in
   let coverage = Coverage.attach engine in
@@ -112,6 +115,7 @@ let run ?(max_seconds = 20.0) ?(max_instructions = 3_000_000) ~driver
   ignore
     (S2e_vm.Netdev.inject_frame s0.State.devices.netdev
        (Array.init 24 (fun i -> (i * 7) land 0xff)));
+  setup engine;
   let started = Unix.gettimeofday () in
   let paths =
     Executor.run
@@ -132,6 +136,7 @@ let run ?(max_seconds = 20.0) ?(max_instructions = 3_000_000) ~driver
     seconds;
     coverage = Coverage.module_coverage coverage driver;
     instructions = engine.Executor.stats.concrete_instret;
+    drained = engine.Executor.searcher.size () = 0;
   }
 
 (* Filter to the seeded memory/race bug classes (ignores duplicate fault

@@ -132,7 +132,7 @@ let test_span_exclusive_time () =
   let inner = Span.phase ~reg "inner" in
   let inclusive = ref 0. in
   Span.timed outer
-    ~on_elapsed:(fun dt -> inclusive := dt)
+    ~on_elapsed:(fun ~start:_ dt -> inclusive := dt)
     (fun () ->
       spin 0.02;
       Span.timed inner (fun () -> spin 0.04);

@@ -94,6 +94,131 @@ let test_dbt_stats_monotone () =
     last := total
   done
 
+(* Random translate / cut / invalidate / flush sequences against a
+   reference model of the original invalidation rule: a write drops the
+   cached blocks covering it iff some translated range covers it, found
+   by scanning every range.  Code sits in two regions, one at address 0
+   and one straddling the end of the translator's code-granule map, and
+   writes land inside, around and far from both, so the O(1) "no code
+   here" answer is exercised on both sides of a granule boundary and on
+   blocks it does not map. *)
+let test_dbt_invalidate_matches_range_scan () =
+  let module M = S2e_obs.Metrics in
+  let region_len = 256 in
+  let bases = [ 0; (1 lsl 22) - 128 ] in
+  let rng = Sm64.create 17 in
+  for _round = 1 to 100 do
+    let image =
+      List.map
+        (fun base ->
+          let n = region_len / Insn.insn_size in
+          let insns =
+            List.init n (fun i ->
+                if i = n - 1 then Insn.Halt
+                else
+                  match Sm64.int rng 8 with
+                  | 0 -> Insn.Halt
+                  | 1 -> Insn.Jmp { target = Int32.of_int base }
+                  | 2 -> Insn.Nop
+                  | _ -> Insn.Li { rd = 1 + Sm64.int rng 4; imm = Int32.of_int i })
+          in
+          (base, program_bytes insns))
+        bases
+    in
+    let fetch a =
+      match List.find_opt (fun (b, _) -> a >= b && a < b + region_len) image with
+      | Some (b, bytes) -> Char.code (Bytes.get bytes (a - b))
+      | None -> 0
+    in
+    let dbt = Dbt.create () in
+    (* The model: cached blocks as (start, stop), cuts, translations. *)
+    let blocks = ref [] and cuts = ref [] and translations = ref 0 in
+    let model_invalidate addr =
+      if List.exists (fun (lo, hi) -> addr >= lo && addr < hi) !blocks then begin
+        let victims, kept =
+          List.partition (fun (lo, hi) -> addr >= lo && addr < hi) !blocks
+        in
+        blocks := kept;
+        List.length victims
+      end
+      else 0
+    in
+    let model_translate pc =
+      match List.assoc_opt pc !blocks with
+      | Some stop -> stop
+      | None ->
+          incr translations;
+          let rec go addr n =
+            let insn = Insn.decode_with ~get:fetch addr in
+            let next = addr + Insn.insn_size in
+            if Insn.is_block_terminator insn || n + 1 >= 32 || List.mem next !cuts
+            then next
+            else go next (n + 1)
+          in
+          let stop = go pc 0 in
+          blocks := (pc, stop) :: !blocks;
+          stop
+    in
+    let random_pc () =
+      let base = List.nth bases (Sm64.int rng 2) in
+      base + (Insn.insn_size * Sm64.int rng (region_len / Insn.insn_size))
+    in
+    (* Half the writes land on or just beside a cached block's bytes. *)
+    let random_addr () =
+      match Sm64.int rng 8, !blocks with
+      | 0, _ -> -1 - Sm64.int rng 100
+      | 1, _ -> region_len + Sm64.int rng 100_000
+      | (2 | 3 | 4 | 5), (_ :: _ as cached) ->
+          let lo, hi = List.nth cached (Sm64.int rng (List.length cached)) in
+          lo - 2 + Sm64.int rng (hi - lo + 4)
+      | _ ->
+          let base = List.nth bases (Sm64.int rng 2) in
+          base - 70 + Sm64.int rng (region_len + 140)
+    in
+    for _ = 1 to 200 do
+      let before = M.get_int (M.snapshot ()) "dbt.tb_invalidations" in
+      let expected_victims =
+        match Sm64.int rng 10 with
+        | 0 | 1 | 2 ->
+            let pc = random_pc () in
+            let stop = model_translate pc in
+            let tb = Dbt.translate dbt ~fetch ~on_translate:(fun _ _ -> ()) pc in
+            Alcotest.(check int) "block start" pc tb.Dbt.tb_start;
+            Alcotest.(check int) "block length" ((stop - pc) / Insn.insn_size)
+              (Array.length tb.Dbt.insns);
+            0
+        | 3 | 4 | 5 | 6 | 7 ->
+            let addr = random_addr () in
+            Dbt.invalidate dbt addr;
+            model_invalidate addr
+        | 8 ->
+            let addr = random_pc () in
+            Dbt.cut dbt addr;
+            if List.mem addr !cuts then 0
+            else begin
+              cuts := addr :: !cuts;
+              model_invalidate addr
+            end
+        | _ ->
+            Dbt.flush dbt;
+            blocks := [];
+            0
+      in
+      let after = M.get_int (M.snapshot ()) "dbt.tb_invalidations" in
+      Alcotest.(check int) "victims" expected_victims (after - before);
+      Alcotest.(check (pair int int)) "stats" (!translations, List.length !blocks)
+        (Dbt.stats dbt);
+      List.iter
+        (fun base ->
+          for i = 0 to (region_len / Insn.insn_size) - 1 do
+            let pc = base + (i * Insn.insn_size) in
+            if Dbt.is_cached dbt pc <> List.mem_assoc pc !blocks then
+              Alcotest.failf "cache contents differ at 0x%x" pc
+          done)
+        bases
+    done
+  done
+
 (* --- assembler / disassembler roundtrip ---------------------------- *)
 
 let insn = Alcotest.testable (Fmt.of_to_string Insn.to_string) ( = )
@@ -253,6 +378,8 @@ let tests =
       test_dbt_marks_survive_retranslation;
     Alcotest.test_case "Dbt: stats monotone under invalidate/flush" `Quick
       test_dbt_stats_monotone;
+    Alcotest.test_case "Dbt: invalidation matches the range-scan rule" `Quick
+      test_dbt_invalidate_matches_range_scan;
     Alcotest.test_case "asm/pp/decode roundtrip on generated programs" `Quick
       test_asm_roundtrip;
     Alcotest.test_case "decoding random bytes raises typed errors only" `Quick

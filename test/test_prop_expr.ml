@@ -273,6 +273,106 @@ let test_intern_equal_iff_physical () =
         pool)
     pool
 
+(* The constant front cache: constants that share one direct-mapped
+   slot evict each other on every construction, and major collections
+   between rounds let unreferenced ones die in the weak table too.
+   Structural equality must still be physical equality, a constant kept
+   alive must come back as the same node whether or not it is still
+   cached, and every node handed out (cache hit or fresh intern) must
+   carry the hash, size and variables of the first one built. *)
+let test_const_cache_collisions () =
+  let slot c = Expr.hash c land (Expr.const_cache_slots - 1) in
+  let small =
+    List.map (fun v -> (v, 1)) [ 0L; 1L ]
+    @ List.init 256 (fun v -> (Int64.of_int v, 8))
+  in
+  let slot_of (v, w) = slot (Expr.const ~width:w v) in
+  (* Target slots: both width-1 constants' and two width-8 ones'.  Every
+     group gets the small constants that land in its slot plus three
+     16-, 32- and 64-bit constants found by search. *)
+  let targets =
+    List.sort_uniq compare (List.map slot_of [ (0L, 1); (1L, 1); (0L, 8); (255L, 8) ])
+  in
+  let rng = Random.State.make [| 0xCAC; 2026 |] in
+  let random_bits w =
+    Expr.norm
+      (Int64.logxor
+         (Random.State.int64 rng Int64.max_int)
+         (Int64.shift_left (Random.State.int64 rng 4L) 62))
+      w
+  in
+  let search target w =
+    let rec go acc tries =
+      if List.length acc = 3 || tries = 0 then acc
+      else
+        let v = random_bits w in
+        go (if slot_of (v, w) = target then (v, w) :: acc else acc) (tries - 1)
+    in
+    go [] 200_000
+  in
+  let groups =
+    List.map
+      (fun target ->
+        let members =
+          List.filter (fun k -> slot_of k = target) small
+          @ List.concat_map (search target) [ 16; 32; 64 ]
+        in
+        Alcotest.(check bool) "wide colliding constants found" true
+          (List.length members >= 10);
+        Array.of_list members)
+      targets
+  in
+  let all_widths =
+    List.sort_uniq compare
+      (List.concat_map (fun g -> List.map snd (Array.to_list g)) groups)
+  in
+  Alcotest.(check (list int)) "collisions span every width" [ 1; 8; 16; 32; 64 ]
+    all_widths;
+  let first = Hashtbl.create 64 in
+  let check_meta (v, w) c =
+    let m = (Expr.hash c, Expr.size c, Expr.Int_set.elements (Expr.vars c)) in
+    match Hashtbl.find_opt first (v, w) with
+    | None -> Hashtbl.replace first (v, w) m
+    | Some m0 ->
+        if m <> m0 then Alcotest.failf "metadata of %Ld:%d changed" v w
+  in
+  let retained = ref [] in
+  for _round = 1 to 25 do
+    Gc.full_major ();
+    List.iter
+      (fun (k, c) ->
+        let v, w = k in
+        if not (Expr.const ~width:w v == c) then
+          Alcotest.failf "live constant %Ld:%d re-interned as a new node" v w)
+      !retained;
+    let made =
+      List.init 300 (fun _ ->
+          let g = List.nth groups (Random.State.int rng (List.length groups)) in
+          let ((v, w) as k) = g.(Random.State.int rng (Array.length g)) in
+          let c = Expr.const ~width:w v in
+          check_meta k c;
+          (* Built twice in a row: the second is a cache hit. *)
+          let hit = Expr.const ~width:w v in
+          if not (hit == c) then Alcotest.failf "cache hit for %Ld:%d not physical" v w;
+          check_meta k hit;
+          (k, c))
+    in
+    let pool = Array.of_list (made @ !retained) in
+    Array.iter
+      (fun (kx, x) ->
+        Array.iter
+          (fun (ky, y) ->
+            let eq = Expr.equal x y in
+            if eq <> (x == y) || eq <> (kx = ky) then
+              Alcotest.failf "equal(%b) / == (%b) / same constant (%b)" eq (x == y)
+                (kx = ky))
+          pool)
+      pool;
+    retained :=
+      List.filteri (fun i _ -> i < 40)
+        (List.filter (fun _ -> Random.State.bool rng) made @ !retained)
+  done
+
 (* Cached metadata must match a from-scratch recomputation by walking the
    (private but pattern-matchable) representation. *)
 let rec ref_size (e : Expr.t) =
@@ -378,6 +478,8 @@ let tests =
     Alcotest.test_case "ite collapse rules" `Quick test_ite_collapse_rules;
     Alcotest.test_case "interning: equal iff physically equal" `Quick
       test_intern_equal_iff_physical;
+    Alcotest.test_case "interning: colliding constant-cache slots" `Quick
+      test_const_cache_collisions;
     Alcotest.test_case "interning: metadata matches reference walk" `Quick
       test_metadata_matches_reference;
     Alcotest.test_case "interning: hash consistent under re-intern" `Quick

@@ -6,15 +6,28 @@ open S2e_tools
 
 (* --- DDT+: 2 bugs under SC-SE, all 7 under LC (paper section 6.1.1) --- *)
 
+(* Every run stops on its instruction budget or by draining its paths;
+   the wall-clock limit is only a safety net, so the assertions do not
+   depend on machine speed. *)
+let ddt ~driver ~consistency =
+  let max_instructions = 3_000_000 in
+  let r = Ddt.run ~max_seconds:120.0 ~max_instructions ~driver ~consistency () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s under %s ended on its instruction budget or drained"
+       driver (Consistency.name consistency))
+    true
+    (r.Ddt.instructions > max_instructions || r.drained);
+  r
+
 let test_ddt_scse () =
-  let pcnet = Ddt.run ~max_seconds:20.0 ~driver:"pcnet" ~consistency:Consistency.SC_SE () in
-  let rtl = Ddt.run ~max_seconds:20.0 ~driver:"rtl8029" ~consistency:Consistency.SC_SE () in
+  let pcnet = ddt ~driver:"pcnet" ~consistency:Consistency.SC_SE in
+  let rtl = ddt ~driver:"rtl8029" ~consistency:Consistency.SC_SE in
   Alcotest.(check int) "2 bugs total under SC-SE" 2
     (Ddt.seeded_bug_count pcnet + Ddt.seeded_bug_count rtl)
 
 let test_ddt_lc () =
-  let pcnet = Ddt.run ~max_seconds:25.0 ~driver:"pcnet" ~consistency:Consistency.LC () in
-  let rtl = Ddt.run ~max_seconds:25.0 ~driver:"rtl8029" ~consistency:Consistency.LC () in
+  let pcnet = ddt ~driver:"pcnet" ~consistency:Consistency.LC in
+  let rtl = ddt ~driver:"rtl8029" ~consistency:Consistency.LC in
   let total = Ddt.seeded_bug_count pcnet + Ddt.seeded_bug_count rtl in
   Alcotest.(check int) "7 bugs total under LC" 7 total;
   (* The bug classes the paper lists: memory corruption, leaks, races. *)
@@ -27,7 +40,7 @@ let test_ddt_lc () =
 let test_ddt_no_bugs_in_clean_drivers () =
   List.iter
     (fun driver ->
-      let r = Ddt.run ~max_seconds:12.0 ~driver ~consistency:Consistency.LC () in
+      let r = ddt ~driver ~consistency:Consistency.LC in
       Alcotest.(check int) (driver ^ " clean") 0 (Ddt.seeded_bug_count r))
     [ "c111"; "rtl8139" ]
 
@@ -175,6 +188,143 @@ let test_ddt_pcnet_fixed_costs () =
     true
     (forks > 0 && samples <= forks + 1)
 
+(* The original depth-first searcher: filter finished states out of the
+   whole stack at every pick, then take the top.  Reference for
+   [Searcher.dfs], which only pops finished states off the top. *)
+let reference_dfs () =
+  let stack = ref [] in
+  {
+    Searcher.add = (fun s -> stack := s :: !stack);
+    remove =
+      (fun s -> stack := List.filter (fun s' -> s'.State.id <> s.State.id) !stack);
+    select =
+      (fun () ->
+        stack := List.filter State.is_active !stack;
+        match !stack with [] -> None | s :: _ -> Some s);
+    size = (fun () -> List.length (List.filter State.is_active !stack));
+  }
+
+(* Random adds, removals, picks, and states finished behind the
+   searcher's back (so finished states sit anywhere in the stack). *)
+let test_dfs_matches_filter_then_head () =
+  let rng = Random.State.make [| 15 |] in
+  let dfs = Searcher.dfs () and reference = reference_dfs () in
+  let states = ref [] in
+  for step = 1 to 5000 do
+    match Random.State.int rng 5 with
+    | 0 | 1 ->
+        let s =
+          State.create
+            ~mem:(Symmem.create ~base:(Bytes.create 16))
+            ~devices:(S2e_vm.Devices.create ()) ~pc:0
+        in
+        states := s :: !states;
+        dfs.add s;
+        reference.add s
+    | 2 -> (
+        match !states with
+        | [] -> ()
+        | l -> (List.nth l (Random.State.int rng (List.length l))).status <- State.Halted)
+    | 3 -> (
+        match !states with
+        | [] -> ()
+        | l ->
+            let s = List.nth l (Random.State.int rng (List.length l)) in
+            dfs.remove s;
+            reference.remove s)
+    | _ ->
+        (match dfs.select (), reference.select () with
+        | Some a, Some b when a == b -> ()
+        | None, None -> ()
+        | _ -> Alcotest.failf "pick %d differs from filter-then-head" step);
+        Alcotest.(check int) "size" (reference.size ()) (dfs.size ())
+  done
+
+(* The per-block bookkeeping against full recomputations at the same
+   points, on the same narrowed DDT+ pcnet run.  A wrapper searcher
+   observes the engine between blocks: the footprint watermark must
+   equal the maximum of full footprint folds over the live states taken
+   after every block that changed the fork count, the
+   [engine.max_constraint_set] gauge the maximum path-condition length
+   at the end of every block that ran to its end (the engine's
+   instruction count moved), and the depth-first selection must pick the
+   same state at every step as the original filter-then-head searcher,
+   which runs in lockstep as the reference. *)
+let test_ddt_pcnet_bookkeeping_matches_full_folds () =
+  let module M = S2e_obs.Metrics in
+  let full_footprint (s : State.t) =
+    Array.length s.regs
+    + Symmem.overlay_size s.mem
+    + List.fold_left (fun acc c -> acc + S2e_expr.Expr.size c) 0 s.constraints
+  in
+  let watermark = ref 0 and max_constraints = ref 0 and selections = ref 0 in
+  let sampled_forks = ref (-1) and instret = ref 0 and last = ref None in
+  (* Runs before every selection and once after the run: the engine has
+     finished the previous block (and its footprint sample) by then. *)
+  let observe (eng : Executor.t) =
+    match !last with
+    | None -> ()
+    | Some (s : State.t) ->
+        last := None;
+        if eng.stats.concrete_instret <> !instret then begin
+          instret := eng.stats.concrete_instret;
+          max_constraints := max !max_constraints (List.length s.constraints)
+        end;
+        if eng.stats.forks <> !sampled_forks then begin
+          sampled_forks := eng.stats.forks;
+          let fp = List.fold_left (fun acc s -> acc + full_footprint s) 0 eng.live in
+          watermark := max !watermark fp
+        end
+  in
+  let engine = ref None in
+  let setup (eng : Executor.t) =
+    engine := Some eng;
+    let dfs = eng.searcher and reference = reference_dfs () in
+    eng.searcher <-
+      {
+        Searcher.add =
+          (fun s ->
+            dfs.add s;
+            reference.add s);
+        remove =
+          (fun s ->
+            dfs.remove s;
+            reference.remove s);
+        select =
+          (fun () ->
+            observe eng;
+            let picked = dfs.select () in
+            let expected = reference.select () in
+            (match picked, expected with
+            | Some a, Some b when a == b -> ()
+            | None, None -> ()
+            | _ ->
+                Alcotest.failf "selection %d differs from the reference searcher"
+                  !selections);
+            incr selections;
+            last := picked;
+            picked);
+        size = dfs.size;
+      }
+  in
+  M.reset ();
+  let r =
+    Ddt.run ~max_seconds:120.0 ~max_instructions:300_000 ~setup ~driver:"pcnet"
+      ~consistency:Consistency.LC ()
+  in
+  let eng = Option.get !engine in
+  observe eng;
+  Alcotest.(check bool) "instruction budget reached" true
+    (r.Ddt.instructions > 300_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "many forks (%d) and selections (%d)" eng.stats.forks !selections)
+    true
+    (eng.stats.forks > 100 && !selections > 1000);
+  Alcotest.(check int) "footprint watermark = full folds" !watermark
+    eng.stats.footprint_watermark;
+  Alcotest.(check int) "max constraint set = full lengths" !max_constraints
+    (M.get_int (M.snapshot ()) "engine.max_constraint_set")
+
 (* --- CLI manuals render --- *)
 
 (* Every subcommand's manual must render: cmdliner parses doc strings
@@ -221,6 +371,10 @@ let tests =
     Alcotest.test_case "models: mua LC beats SC-SE" `Slow test_models_mua;
     Alcotest.test_case "DDT+ pcnet: per-branch fixed costs stay cut" `Quick
       test_ddt_pcnet_fixed_costs;
+    Alcotest.test_case "DDT+ pcnet: bookkeeping = full recomputation" `Slow
+      test_ddt_pcnet_bookkeeping_matches_full_folds;
+    Alcotest.test_case "DFS pick = filter-then-head" `Quick
+      test_dfs_matches_filter_then_head;
     Alcotest.test_case "CLI: every subcommand's --help renders" `Quick
       test_cli_help_renders;
   ]

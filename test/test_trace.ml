@@ -416,6 +416,87 @@ let test_json_timestamps () =
           Hashtbl.replace last tid t)
         evs)
 
+(* Exported complete ("X") events describe a call tree per thread: two
+   spans on one tid that overlap must nest, and in particular a
+   translate, solver, fork or concretize span that starts inside an
+   execute span ends inside it too.  Checked on the exported integer
+   microseconds, after rounding, and with solver query events included. *)
+let test_spans_nest () =
+  with_trace (fun () ->
+      let _, events = traced_explore 1 in
+      let evs =
+        match
+          Obs.Jsonl.parse (Obs.Jsonl.to_string (Trace.to_json ~dropped:0 events))
+        with
+        | Error msg -> Alcotest.failf "export does not parse: %s" msg
+        | Ok j ->
+            Option.value ~default:[]
+              (Option.bind (Obs.Jsonl.member "traceEvents" j) Obs.Jsonl.to_arr)
+      in
+      let num m ev = Option.get (Obs.Jsonl.num_member m ev) in
+      let spans =
+        List.filter_map
+          (fun ev ->
+            if Obs.Jsonl.str_member "ph" ev = Some "X" then
+              let ts = num "ts" ev in
+              Some
+                ( (num "pid" ev, num "tid" ev),
+                  Option.get (Obs.Jsonl.str_member "name" ev),
+                  ts,
+                  ts +. num "dur" ev )
+            else None)
+          evs
+      in
+      (* Per tid, by start and then longest first: each span overlapping
+         the innermost open span must end inside it. *)
+      let by_tid = Hashtbl.create 4 in
+      List.iter
+        (fun ((tid, _, _, _) as sp) ->
+          Hashtbl.replace by_tid tid
+            (sp :: Option.value ~default:[] (Hashtbl.find_opt by_tid tid)))
+        spans;
+      Hashtbl.iter
+        (fun _ l ->
+          let sorted =
+            List.sort
+              (fun (_, _, s1, e1) (_, _, s2, e2) -> compare (s1, -.e1) (s2, -.e2))
+              l
+          in
+          ignore
+            (List.fold_left
+               (fun open_ ((_, name, s, e) as sp) ->
+                 let open_ =
+                   List.filter (fun (_, _, _, e') -> e' > s) open_
+                 in
+                 (match open_ with
+                 | (_, pname, ps, pe) :: _ when e > pe ->
+                     Alcotest.failf "%s [%.0f, %.0f] overlaps %s [%.0f, %.0f] without nesting"
+                       name s e pname ps pe
+                 | _ -> ());
+                 sp :: open_)
+               [] sorted))
+        by_tid;
+      let execute = List.filter (fun (_, n, _, _) -> n = "execute") spans in
+      let inside = Hashtbl.create 4 in
+      List.iter
+        (fun (tid, name, s, e) ->
+          if List.mem name [ "translate"; "solver"; "fork"; "concretize" ] then
+            List.iter
+              (fun (etid, _, es, ee) ->
+                if etid = tid && es <= s && s < ee then begin
+                  if e > ee then
+                    Alcotest.failf "%s span [%.0f, %.0f] leaves its execute span [%.0f, %.0f]"
+                      name s e es ee;
+                  Hashtbl.replace inside name ()
+                end)
+              execute)
+        spans;
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (name ^ " spans start inside execute spans") true
+            (Hashtbl.mem inside name))
+        [ "translate"; "solver"; "fork" ])
+
 (* --- reporter: final snapshot must flush on exceptions too --- *)
 
 let test_reporter_flushes_on_exception () =
@@ -471,6 +552,7 @@ let tests =
       `Quick test_json_timestamps;
     Alcotest.test_case "trace report leads with realized reuse" `Quick
       test_report_leads_with_reuse;
+    Alcotest.test_case "overlapping spans on a tid nest" `Quick test_spans_nest;
     Alcotest.test_case "reporter flushes final line on exception" `Quick
       test_reporter_flushes_on_exception;
   ]
